@@ -3,7 +3,8 @@
 //!
 //! Every binary in `src/bin/` regenerates one figure or table of the
 //! paper; see DESIGN.md §4 for the index. Libraries are characterized once
-//! per machine and cached as text under `target/ssdm-cache/`.
+//! per machine and cached as text under `target/ssdm-cache/`, in a file
+//! named after a hash of the grid ([`CellLibrary::cache_path`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +25,10 @@ pub fn cache_dir() -> PathBuf {
 ///
 /// Propagates characterization/IO failures.
 pub fn full_library() -> Result<CellLibrary, CellError> {
+    let config = CharConfig::full();
     CellLibrary::load_or_characterize_standard(
-        &cache_dir().join("library-full.txt"),
-        &CharConfig::full(),
+        &CellLibrary::cache_path(&cache_dir(), &config),
+        &config,
     )
 }
 
@@ -36,9 +38,10 @@ pub fn full_library() -> Result<CellLibrary, CellError> {
 ///
 /// Propagates characterization/IO failures.
 pub fn fast_library() -> Result<CellLibrary, CellError> {
+    let config = CharConfig::fast();
     CellLibrary::load_or_characterize_standard(
-        &cache_dir().join("library-fast.txt"),
-        &CharConfig::fast(),
+        &CellLibrary::cache_path(&cache_dir(), &config),
+        &config,
     )
 }
 

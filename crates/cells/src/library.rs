@@ -17,6 +17,12 @@ use crate::sweep::{CharConfig, CharUnit, Characterizer, UnitResult};
 
 const MAGIC: &str = "ssdm-cell-library v2";
 
+/// Version of what a fresh characterization writes: the text format, the
+/// sweeps and the simulator behind them. It is part of every
+/// [`CellLibrary::cache_path`], so bump it whenever a change makes a
+/// cached library stale.
+pub const LIBRARY_FORMAT_VERSION: u32 = 1;
+
 /// A collection of characterized cells, keyed by name.
 ///
 /// # Example
@@ -126,8 +132,14 @@ impl CellLibrary {
             .enumerate()
             .flat_map(|(ci, ch)| ch.units().into_iter().map(move |u| (ci, u)))
             .collect();
+        let _span = ssdm_obs::span("cells.library");
         let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let worker = || -> Result<Vec<(usize, UnitResult)>, CellError> {
+        let worker = |w: usize| -> Result<Vec<(usize, UnitResult)>, CellError> {
+            if ssdm_obs::enabled() {
+                ssdm_obs::set_thread_label(format!("cells.worker.{w}"));
+            }
+            let _span = ssdm_obs::span("cells.worker");
+            let units_done = ssdm_obs::counter("cells.sweep.units");
             let mut local = Vec::new();
             loop {
                 let idx = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -135,12 +147,13 @@ impl CellLibrary {
                     break;
                 };
                 local.push((ci, chars[ci].run_unit(unit)?));
+                units_done.incr();
             }
             Ok(local)
         };
         let per_worker: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs.clamp(1, queue.len().max(1)))
-                .map(|_| scope.spawn(worker))
+                .map(|w| scope.spawn(move || worker(w)))
                 .collect();
             handles
                 .into_iter()
@@ -179,6 +192,36 @@ impl CellLibrary {
     /// input.
     pub fn from_text(text: &str) -> Result<CellLibrary, CellError> {
         Parser::new(text).parse()
+    }
+
+    /// Where the standard library characterized with `config` is cached
+    /// inside `dir`. The file name carries an FNV-1a hash of every
+    /// `config` field and of [`LIBRARY_FORMAT_VERSION`], so a library
+    /// cached under another grid, or by an older simulator, is never
+    /// picked up.
+    pub fn cache_path(dir: &std::path::Path, config: &CharConfig) -> std::path::PathBuf {
+        let CharConfig {
+            t_grid,
+            ref_load_ff,
+            alt_load_factor,
+            skew_tol,
+            max_skew,
+            knee_epsilon,
+            nonctrl_pairs,
+        } = config;
+        let mut words = vec![u64::from(LIBRARY_FORMAT_VERSION), t_grid.len() as u64];
+        words.extend(t_grid.iter().map(|t| t.to_bits()));
+        words.push(ref_load_ff.map_or(u64::MAX, f64::to_bits));
+        words.push(u64::from(ref_load_ff.is_some()));
+        for x in [alt_load_factor, skew_tol, max_skew, knee_epsilon] {
+            words.push(x.to_bits());
+        }
+        words.push(u64::from(*nonctrl_pairs));
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        dir.join(format!("library-{hash:016x}.txt"))
     }
 
     /// Loads a persisted standard library from `path`, or characterizes it
@@ -549,6 +592,73 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::cell::tests::toy_nand2;
+
+    /// The one test that characterizes from scratch: a cold fast library,
+    /// built on two workers, is byte-identical to the pinned copy the
+    /// benchmark checks against.
+    #[test]
+    fn cold_fast_library_matches_pinned_copy() {
+        let pinned = include_str!("../../../perfbench/data/library-fast.txt");
+        let text = CellLibrary::characterize_standard_with_jobs(&CharConfig::fast(), 2)
+            .unwrap()
+            .to_text();
+        if let Some((ln, (got, want))) = text
+            .lines()
+            .zip(pinned.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+        {
+            panic!("line {}: got {got:?}, pinned {want:?}", ln + 1);
+        }
+        assert_eq!(text, pinned);
+    }
+
+    #[test]
+    fn cache_path_keys_on_every_config_field() {
+        let dir = std::path::Path::new("cache");
+        let fast = CellLibrary::cache_path(dir, &CharConfig::fast());
+        assert_eq!(fast, CellLibrary::cache_path(dir, &CharConfig::fast()));
+        assert!(fast.starts_with(dir));
+        let variants: Vec<CharConfig> = vec![
+            CharConfig::full(),
+            CharConfig {
+                t_grid: vec![0.15, 0.7, 1.7],
+                ..CharConfig::fast()
+            },
+            CharConfig {
+                ref_load_ff: Some(9.0),
+                ..CharConfig::fast()
+            },
+            CharConfig {
+                alt_load_factor: 2.0,
+                ..CharConfig::fast()
+            },
+            CharConfig {
+                skew_tol: 0.02,
+                ..CharConfig::fast()
+            },
+            CharConfig {
+                max_skew: 3.0,
+                ..CharConfig::fast()
+            },
+            CharConfig {
+                knee_epsilon: 0.05,
+                ..CharConfig::fast()
+            },
+            CharConfig {
+                nonctrl_pairs: false,
+                ..CharConfig::fast()
+            },
+        ];
+        let mut names: Vec<_> = variants
+            .iter()
+            .map(|c| CellLibrary::cache_path(dir, c))
+            .collect();
+        names.push(fast);
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), variants.len() + 1);
+    }
 
     #[test]
     fn round_trip_through_text() {

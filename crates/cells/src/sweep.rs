@@ -8,8 +8,6 @@
 //! any order and the assembled [`CharacterizedGate`] is still
 //! bit-identical to the serial sweep.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use ssdm_core::{math, Capacitance, Edge, Time, Transition};
 use ssdm_spice::{GateKind, GateSim, PinState, Process};
 
@@ -235,51 +233,6 @@ impl Characterizer {
         Ok(self.assemble(results))
     }
 
-    /// [`Characterizer::characterize`] with the unit sweeps spread over
-    /// `jobs` worker threads. The result is bit-identical to the serial
-    /// sweep — units are independent and assembly is order-insensitive.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Characterizer::characterize`].
-    pub fn characterize_with_jobs(&self, jobs: usize) -> Result<CharacterizedGate, CellError> {
-        let units = self.units();
-        if jobs <= 1 || units.len() <= 1 {
-            return self.characterize();
-        }
-        let _span = ssdm_obs::span("cells.sweep.parallel");
-        let cursor = AtomicUsize::new(0);
-        let worker = |w: usize| -> Result<Vec<UnitResult>, CellError> {
-            if ssdm_obs::enabled() {
-                ssdm_obs::set_thread_label(format!("cells.worker.{w}"));
-            }
-            let _span = ssdm_obs::span("cells.sweep.chunk");
-            let units_done = ssdm_obs::counter("cells.sweep.units");
-            let mut local = Vec::new();
-            loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&unit) = units.get(idx) else { break };
-                local.push(self.run_unit(unit)?);
-                units_done.incr();
-            }
-            Ok(local)
-        };
-        let per_worker: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs.min(units.len()))
-                .map(|w| scope.spawn(move || worker(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("characterization worker panicked"))
-                .collect()
-        });
-        let mut results = Vec::with_capacity(units.len());
-        for r in per_worker {
-            results.extend(r?);
-        }
-        Ok(self.assemble(results))
-    }
-
     /// The unit decomposition, in the canonical (serial) sweep order.
     pub(crate) fn units(&self) -> Vec<CharUnit> {
         let n = self.sim.n_inputs();
@@ -303,22 +256,32 @@ impl Characterizer {
         units
     }
 
-    /// Runs one unit sweep.
+    /// Runs one unit sweep, inside a span named after the unit kind.
     pub(crate) fn run_unit(&self, unit: CharUnit) -> Result<UnitResult, CellError> {
         Ok(match unit {
-            CharUnit::Pin { out_edge, pos } => UnitResult::Pin {
-                out_edge,
-                pos,
-                timing: self.characterize_pin(out_edge, pos)?,
-            },
-            CharUnit::Pair { i, j } => UnitResult::Pair(self.characterize_pair(i, j)?),
+            CharUnit::Pin { out_edge, pos } => {
+                let _span = ssdm_obs::span("cells.unit.pin");
+                UnitResult::Pin {
+                    out_edge,
+                    pos,
+                    timing: self.characterize_pin(out_edge, pos)?,
+                }
+            }
+            CharUnit::Pair { i, j } => {
+                let _span = ssdm_obs::span("cells.unit.pair");
+                UnitResult::Pair(self.characterize_pair(i, j)?)
+            }
             CharUnit::NonctrlPair { i, j } => {
+                let _span = ssdm_obs::span("cells.unit.nonctrl");
                 UnitResult::NonctrlPair(self.characterize_nonctrl_pair(i, j)?)
             }
-            CharUnit::Kway { k } => UnitResult::Kway {
-                k,
-                floor: self.characterize_kway(k)?,
-            },
+            CharUnit::Kway { k } => {
+                let _span = ssdm_obs::span("cells.unit.kway");
+                UnitResult::Kway {
+                    k,
+                    floor: self.characterize_kway(k)?,
+                }
+            }
         })
     }
 
@@ -393,17 +356,18 @@ impl Characterizer {
         let delay = Poly1::fit(&self.config.t_grid, &delays, "pin delay")?;
         let ttime = Poly1::fit(&self.config.t_grid, &ttimes, "pin transition time")?;
 
-        // Load slope from the grid midpoint at the alternate load.
-        let t_mid = Time::from_ns(self.config.t_grid[self.config.t_grid.len() / 2]);
+        // Load slope from the grid midpoint at the alternate load; the
+        // sweep above already measured the midpoint at the reference load.
+        let mid = self.config.t_grid.len() / 2;
+        let t_mid = Time::from_ns(self.config.t_grid[mid]);
         let alt_load = Capacitance::from_ff(self.ref_load.as_ff() * self.config.alt_load_factor);
-        let m_ref = self.sim.pin_to_pin(pos, in_edge, t_mid, self.ref_load)?;
         let m_alt = self.sim.pin_to_pin(pos, in_edge, t_mid, alt_load)?;
         let dl = (alt_load - self.ref_load).as_ff();
         Ok(PinTiming {
             delay,
             ttime,
-            delay_load_slope: (m_alt.delay - m_ref.delay).as_ns() / dl,
-            ttime_load_slope: (m_alt.ttime - m_ref.ttime).as_ns() / dl,
+            delay_load_slope: (m_alt.delay.as_ns() - delays[mid]) / dl,
+            ttime_load_slope: (m_alt.ttime.as_ns() - ttimes[mid]) / dl,
         })
     }
 
@@ -774,14 +738,6 @@ mod tests {
         let (s, val) = v.argmin_over(Bound::unbounded());
         assert_eq!(s, Time::ZERO, "Claim 1: minimum at zero skew");
         assert_eq!(val, v.vertex().1);
-    }
-
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        let ch = Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast()).unwrap();
-        let serial = ch.characterize().unwrap();
-        let parallel = ch.characterize_with_jobs(4).unwrap();
-        assert_eq!(serial, parallel);
     }
 
     #[test]

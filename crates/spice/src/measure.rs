@@ -1,13 +1,17 @@
 //! High-level gate measurement: the API characterization and experiments
 //! drive.
 
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use ssdm_core::{Capacitance, Edge, Time, Transition};
+use ssdm_obs::Counter;
 
 use crate::circuit::Circuit;
 use crate::error::SpiceError;
 use crate::gates::{build, GateKind};
 use crate::process::Process;
-use crate::transient::{Transient, TransientConfig};
+use crate::transient::{SettleStop, Transient, TransientConfig};
 use crate::waveform::{InputWave, Trace};
 
 /// State of one gate input during a measurement.
@@ -48,11 +52,80 @@ pub struct Measured {
     /// Gate delay per the paper's to-controlling convention: output
     /// arrival minus the **earliest** switching-input arrival.
     pub delay: Time,
-    /// The simulated output waveform.
+    /// The simulated output waveform. It ends at the first recorded
+    /// sample after the last input ramp where the output is within 1 %
+    /// Vdd of its final rail (or at the end of the window if it never
+    /// settles), so it holds every 10/50/90 % crossing but not the
+    /// settled tail.
     pub trace: Trace,
 }
 
+/// Cache key of a DC operating point: the initial input levels and the
+/// output load's bit pattern.
+type SettleKey = (Vec<bool>, u64);
+
+/// Per-instance memo of DC operating points, plus the simulator's work
+/// counters. A clone starts empty, with counters of its own.
+#[derive(Debug)]
+struct SimCache {
+    memo: Mutex<HashMap<SettleKey, Vec<f64>>>,
+    transients: Counter,
+    rk4_steps: Counter,
+    settle_hits: Counter,
+    settle_misses: Counter,
+}
+
+impl SimCache {
+    fn new() -> SimCache {
+        SimCache {
+            memo: Mutex::new(HashMap::new()),
+            transients: ssdm_obs::counter("spice.transients"),
+            rk4_steps: ssdm_obs::counter("spice.rk4_steps"),
+            settle_hits: ssdm_obs::counter("spice.settle.hit"),
+            settle_misses: ssdm_obs::counter("spice.settle.miss"),
+        }
+    }
+
+    /// The memo. Recovering it from a poisoned lock is sound: every update
+    /// is a single insert of a complete state.
+    fn memo(&self) -> MutexGuard<'_, HashMap<SettleKey, Vec<f64>>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for SimCache {
+    fn clone(&self) -> SimCache {
+        SimCache::new()
+    }
+}
+
+/// The full simulation window `[t0, t1]` for the input `transitions`
+/// driving `load`: from 0.5 ns before the first ramp starts to a margin
+/// after the last one ends that grows with the slowest ramp and the load.
+fn window(transitions: &[Transition], load: Capacitance) -> (Time, Time) {
+    let earliest_start = transitions
+        .iter()
+        .map(|t| t.start())
+        .fold(Time::INFINITY, Time::min);
+    let latest_end = transitions
+        .iter()
+        .map(|t| t.end())
+        .fold(Time::NEG_INFINITY, Time::max);
+    let max_tt = transitions
+        .iter()
+        .map(|t| t.ttime)
+        .fold(Time::ZERO, Time::max);
+    let t0 = earliest_start - Time::from_ns(0.5);
+    let t1 = latest_end + Time::from_ns(4.0) + max_tt * 2.0 + Time::from_ns(0.03 * load.as_ff());
+    (t0, t1)
+}
+
 /// A reusable measurement harness for one gate instance.
+///
+/// The harness remembers the DC operating point of every (initial input
+/// levels, load) it has measured, so repeated measurements skip the
+/// settle run. The memo is private to the instance: a new harness (or a
+/// clone) starts cold, and [`GateSim::with_config`] clears it.
 ///
 /// # Example
 ///
@@ -78,6 +151,7 @@ pub struct GateSim {
     process: Process,
     config: TransientConfig,
     circuit: Circuit,
+    cache: SimCache,
 }
 
 impl GateSim {
@@ -107,6 +181,7 @@ impl GateSim {
             process,
             config: TransientConfig::default(),
             circuit,
+            cache: SimCache::new(),
         })
     }
 
@@ -179,9 +254,11 @@ impl GateSim {
         self.wp_um
     }
 
-    /// Overrides the transient configuration (step size, settle time).
+    /// Overrides the transient configuration (step size, settle time)
+    /// and drops the memoized operating points, which depend on it.
     pub fn with_config(mut self, config: TransientConfig) -> GateSim {
         self.config = config;
+        self.cache = SimCache::new();
         self
     }
 
@@ -230,26 +307,15 @@ impl GateSim {
             !transitions.is_empty(),
             "output switched without input transitions"
         );
-        let earliest_start = transitions
-            .iter()
-            .map(|t| t.start())
-            .fold(Time::INFINITY, Time::min);
         let latest_end = transitions
             .iter()
             .map(|t| t.end())
             .fold(Time::NEG_INFINITY, Time::max);
-        let max_tt = transitions
-            .iter()
-            .map(|t| t.ttime)
-            .fold(Time::ZERO, Time::max);
         let earliest_arrival = transitions
             .iter()
             .map(|t| t.arrival)
             .fold(Time::INFINITY, Time::min);
-
-        let t0 = earliest_start - Time::from_ns(0.5);
-        let t1 =
-            latest_end + Time::from_ns(4.0) + max_tt * 2.0 + Time::from_ns(0.03 * load.as_ff());
+        let (t0, t1) = window(&transitions, load);
 
         let waves: Vec<InputWave> = pins.iter().map(|p| p.wave()).collect();
         let transient = Transient::new(
@@ -259,9 +325,17 @@ impl GateSim {
             load.as_ff(),
             self.config,
         )?;
-        let trace = transient.run(t0, t1)?;
-
+        let (state, settle_steps) = self.settled_state(&transient, initial, load, t0)?;
         let vdd = self.process.vdd.as_volts();
+        let stop = SettleStop {
+            after: latest_end,
+            rail: if out1 { vdd } else { 0.0 },
+            tol: 0.01 * vdd,
+        };
+        let (trace, steps) = transient.integrate(state, t0, t1, Some(stop))?;
+        self.cache.transients.incr();
+        self.cache.rk4_steps.add((settle_steps + steps) as u64);
+
         let arrival = trace.last_crossing(0.5 * vdd, out_edge)?;
         let ttime = trace.transition_time(0.1 * vdd, 0.9 * vdd, out_edge)?;
         Ok(Measured {
@@ -271,6 +345,31 @@ impl GateSim {
             delay: arrival - earliest_arrival,
             trace,
         })
+    }
+
+    /// The DC operating point `transient` starts from at `t0`, from the
+    /// memo when this harness has settled the same input levels and load
+    /// before, and the number of RK4 steps it took to find (0 on a hit).
+    ///
+    /// The key is exact: `t0` precedes every input ramp, so each input
+    /// sits exactly on the rail of its initial level there, and the
+    /// settle run sees nothing else of the stimulus.
+    fn settled_state(
+        &self,
+        transient: &Transient<'_>,
+        initial: Vec<bool>,
+        load: Capacitance,
+        t0: Time,
+    ) -> Result<(Vec<f64>, usize), SpiceError> {
+        let key = (initial, load.as_ff().to_bits());
+        if let Some(state) = self.cache.memo().get(&key) {
+            self.cache.settle_hits.incr();
+            return Ok((state.clone(), 0));
+        }
+        let state = transient.dc_settle(t0)?;
+        self.cache.settle_misses.incr();
+        self.cache.memo().insert(key, state.clone());
+        Ok((state, transient.settle_steps()))
     }
 
     /// Pin-to-pin measurement: a single transition on `pin` with all other
@@ -310,6 +409,8 @@ impl GateSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn fall(arr: f64, tt: f64) -> PinState {
         PinState::Switch(Transition::new(
@@ -455,5 +556,132 @@ mod tests {
         assert_eq!(sim.kind(), GateKind::Nand);
         assert_eq!(sim.wn_um(), GateSim::DEFAULT_WN_UM);
         assert_eq!(sim.wp_um(), GateSim::DEFAULT_WP_UM);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The full-window reference: a cold [`Transient::run`] over the
+    /// window `measure` would use, measured with the same trace queries.
+    fn full_window(
+        sim: &GateSim,
+        pins: &[PinState],
+        load: Capacitance,
+        out_edge: Edge,
+    ) -> Result<(Trace, Time, Time), SpiceError> {
+        let transitions: Vec<Transition> = pins.iter().filter_map(|p| p.transition()).collect();
+        let (t0, t1) = window(&transitions, load);
+        let waves = pins.iter().map(|p| p.wave()).collect();
+        let trace = Transient::new(&sim.circuit, &sim.process, waves, load.as_ff(), sim.config)?
+            .run(t0, t1)?;
+        let vdd = sim.process.vdd.as_volts();
+        let arrival = trace.last_crossing(0.5 * vdd, out_edge)?;
+        let ttime = trace.transition_time(0.1 * vdd, 0.9 * vdd, out_edge)?;
+        Ok((trace, arrival, ttime))
+    }
+
+    /// One harness per gate shape, shared by every case so that later
+    /// cases hit operating points earlier ones settled.
+    fn shared_sims() -> &'static [GateSim; 3] {
+        static SIMS: OnceLock<[GateSim; 3]> = OnceLock::new();
+        SIMS.get_or_init(|| [GateSim::inv(), GateSim::nand(2), GateSim::nor(3)])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn early_stop_and_settle_cache_match_the_full_window(
+            gate in 0usize..3,
+            rise in 0u8..2,
+            mask in 1usize..8,
+            skews in prop::collection::vec(-3.5..3.5f64, 3..4),
+            tts in prop::collection::vec(0.1..2.0f64, 3..4),
+            load_x in 1.0..3.0f64,
+        ) {
+            let sim = &shared_sims()[gate];
+            let n = sim.n_inputs();
+            let mask = match mask % (1 << n) {
+                0 => 1,
+                m => m,
+            };
+            let edge = if rise == 1 { Edge::Rise } else { Edge::Fall };
+            let noncontrolling = !sim.kind().controlling_value();
+            let pins: Vec<PinState> = (0..n)
+                .map(|p| {
+                    if mask & (1 << p) != 0 {
+                        PinState::Switch(Transition::new(
+                            edge,
+                            Time::from_ns(5.0 + skews[p]),
+                            Time::from_ns(tts[p]),
+                        ))
+                    } else {
+                        PinState::Steady(noncontrolling)
+                    }
+                })
+                .collect();
+            let load = Capacitance::from_ff(sim.inverter_load().as_ff() * load_x);
+            // Every gate here inverts.
+            let (full, arrival, ttime) =
+                full_window(sim, &pins, load, edge.inverted()).expect("full window measures");
+            let m = sim.measure(&pins, load).expect("measure succeeds");
+            let earliest = pins
+                .iter()
+                .filter_map(|p| p.transition())
+                .map(|t| t.arrival)
+                .fold(Time::INFINITY, Time::min);
+            prop_assert_eq!(m.arrival.as_ns().to_bits(), arrival.as_ns().to_bits());
+            prop_assert_eq!(m.ttime.as_ns().to_bits(), ttime.as_ns().to_bits());
+            prop_assert_eq!(m.delay.as_ns().to_bits(), (arrival - earliest).as_ns().to_bits());
+            // The early-stopped trace is a prefix of the full one.
+            let k = m.trace.len();
+            prop_assert!(k <= full.len());
+            prop_assert_eq!(bits(m.trace.times_ns()), bits(&full.times_ns()[..k]));
+            prop_assert_eq!(bits(m.trace.volts()), bits(&full.volts()[..k]));
+        }
+    }
+
+    #[test]
+    fn settle_cache_hit_returns_fresh_dc_settle_bits() {
+        let sim = GateSim::nand(2);
+        let load = sim.inverter_load();
+        sim.measure(&[fall(1.0, 0.5), PinState::Steady(true)], load)
+            .unwrap();
+        assert_eq!(sim.cache.memo().len(), 1);
+        assert_eq!(sim.cache.settle_misses.get(), 1);
+
+        // A different stimulus from the same initial levels and load.
+        let pins = [fall(3.0, 1.2), fall(2.0, 0.2)];
+        let transitions: Vec<Transition> = pins.iter().filter_map(|p| p.transition()).collect();
+        let (t0, _) = window(&transitions, load);
+        let waves = pins.iter().map(|p| p.wave()).collect();
+        let transient =
+            Transient::new(&sim.circuit, &sim.process, waves, load.as_ff(), sim.config).unwrap();
+        let fresh = transient.dc_settle(t0).unwrap();
+        let (cached, steps) = sim
+            .settled_state(&transient, vec![true, true], load, t0)
+            .unwrap();
+        assert_eq!(steps, 0, "expected a cache hit");
+        assert_eq!(sim.cache.settle_hits.get(), 1);
+        assert_eq!(bits(&cached), bits(&fresh));
+
+        // Another load is another operating point.
+        let heavier = Capacitance::from_ff(load.as_ff() * 2.0);
+        sim.measure(&[fall(1.0, 0.5), PinState::Steady(true)], heavier)
+            .unwrap();
+        assert_eq!(sim.cache.memo().len(), 2);
+
+        let sim = sim.with_config(TransientConfig::default());
+        assert_eq!(sim.cache.memo().len(), 0);
+    }
+
+    #[test]
+    fn clones_start_cold() {
+        let sim = GateSim::inv();
+        sim.pin_to_pin(0, Edge::Rise, Time::from_ns(0.3), sim.inverter_load())
+            .unwrap();
+        assert_eq!(sim.cache.memo().len(), 1);
+        assert_eq!(sim.clone().cache.memo().len(), 0);
     }
 }

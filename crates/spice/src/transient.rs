@@ -5,6 +5,11 @@
 //! both fast and more than accurate enough for delays measured in tens to
 //! hundreds of picoseconds. A divergence guard catches pathological
 //! configurations.
+//!
+//! [`Transient::run`] always integrates the whole window.
+//! [`crate::GateSim::measure`] starts from a memoized DC operating point
+//! and ends the run once the output has settled on its final rail; both
+//! shortcuts leave every measured crossing bit-identical (DESIGN.md §10).
 
 use ssdm_core::Time;
 
@@ -45,6 +50,54 @@ pub struct Transient<'a> {
     config: TransientConfig,
 }
 
+/// Where [`Transient::integrate`] may end the run early: at the first
+/// recorded step at or after `after` whose output voltage is within `tol`
+/// of `rail`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SettleStop {
+    /// The latest input ramp end; from here on the inputs are static.
+    pub after: Time,
+    /// The output's final rail (V).
+    pub rail: f64,
+    /// How close to `rail` counts as settled (V).
+    pub tol: f64,
+}
+
+/// Working vectors of one run, allocated once and reused by every RK4
+/// step.
+struct Scratch {
+    k1: Vec<f64>,
+    k2: Vec<f64>,
+    k3: Vec<f64>,
+    k4: Vec<f64>,
+    tmp: Vec<f64>,
+    eval: EvalBuf,
+}
+
+/// Working vectors of one derivative evaluation.
+struct EvalBuf {
+    vins: Vec<f64>,
+    slopes: Vec<f64>,
+    current: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(n_state: usize, n_inputs: usize) -> Scratch {
+        Scratch {
+            k1: vec![0.0; n_state],
+            k2: vec![0.0; n_state],
+            k3: vec![0.0; n_state],
+            k4: vec![0.0; n_state],
+            tmp: vec![0.0; n_state],
+            eval: EvalBuf {
+                vins: Vec::with_capacity(n_inputs),
+                slopes: Vec::with_capacity(n_inputs),
+                current: vec![0.0; n_state],
+            },
+        }
+    }
+}
+
 impl<'a> Transient<'a> {
     /// Creates an analysis.
     ///
@@ -78,7 +131,8 @@ impl<'a> Transient<'a> {
         })
     }
 
-    /// Runs the transient over `[t0, t1]`, returning the output-node trace.
+    /// Runs the transient over the full window `[t0, t1]`, returning the
+    /// output-node trace.
     ///
     /// The initial condition is found by holding the inputs at their
     /// `t0` values and integrating for the configured settle duration.
@@ -88,7 +142,22 @@ impl<'a> Transient<'a> {
     /// Returns [`SpiceError::Diverged`] if any node voltage becomes
     /// non-finite.
     pub fn run(&self, t0: Time, t1: Time) -> Result<Trace, SpiceError> {
-        let mut state = self.dc_settle(t0)?;
+        let state = self.dc_settle(t0)?;
+        Ok(self.integrate(state, t0, t1, None)?.0)
+    }
+
+    /// Integrates from the initial `state` at `t0` towards `t1`, recording
+    /// every `record_stride`-th step and the last one. With a `stop`, the
+    /// run ends at the first recorded step that satisfies it. Returns the
+    /// trace and the number of RK4 steps taken.
+    pub(crate) fn integrate(
+        &self,
+        mut state: Vec<f64>,
+        t0: Time,
+        t1: Time,
+        stop: Option<SettleStop>,
+    ) -> Result<(Trace, usize), SpiceError> {
+        let mut scratch = Scratch::new(state.len(), self.inputs.len());
         let mut trace = Trace::with_capacity(1024);
         let dt = self.config.dt.as_ns();
         let t0n = t0.as_ns();
@@ -97,29 +166,39 @@ impl<'a> Transient<'a> {
         trace.push(t0, state[0]);
         let mut t = t0n;
         for step in 1..=steps {
-            self.rk4_step(&mut state, t, dt, false);
+            self.rk4_step(&mut state, t, dt, false, &mut scratch);
             t = t0n + step as f64 * dt;
             if !state.iter().all(|v| v.is_finite()) {
                 return Err(SpiceError::Diverged { at_ns: t });
             }
             if step % self.config.record_stride == 0 || step == steps {
                 trace.push(Time::from_ns(t), state[0]);
+                if let Some(s) = stop {
+                    if t >= s.after.as_ns() && (state[0] - s.rail).abs() <= s.tol {
+                        return Ok((trace, step));
+                    }
+                }
             }
         }
-        Ok(trace)
+        Ok((trace, steps))
+    }
+
+    /// Number of coarse RK4 steps [`Transient::dc_settle`] takes.
+    pub(crate) fn settle_steps(&self) -> usize {
+        (self.config.settle.as_ns() / (self.config.dt.as_ns() * 4.0)).ceil() as usize
     }
 
     /// Finds the DC operating point at `t0` by integrating with inputs
     /// frozen at their `t0` values.
-    fn dc_settle(&self, t0: Time) -> Result<Vec<f64>, SpiceError> {
+    pub(crate) fn dc_settle(&self, t0: Time) -> Result<Vec<f64>, SpiceError> {
         let n = self.circuit.n_state();
         let mut state = vec![0.0; n];
+        let mut scratch = Scratch::new(n, self.inputs.len());
         // Coarse settling steps: the settle run only needs the endpoint.
         let dt = self.config.dt.as_ns() * 4.0;
-        let steps = (self.config.settle.as_ns() / dt).ceil() as usize;
         let t = t0.as_ns();
-        for _ in 0..steps {
-            self.rk4_step_frozen(&mut state, t, dt);
+        for _ in 0..self.settle_steps() {
+            self.rk4_step(&mut state, t, dt, true, &mut scratch);
             if !state.iter().all(|v| v.is_finite()) {
                 return Err(SpiceError::Diverged { at_ns: t });
             }
@@ -146,46 +225,53 @@ impl<'a> Transient<'a> {
     }
 
     /// Evaluates dV/dt for all solved nodes.
-    fn derivative(&self, state: &[f64], t: f64, frozen_t: Option<f64>, dvdt: &mut [f64]) {
+    fn derivative(
+        &self,
+        state: &[f64],
+        t: f64,
+        frozen_t: Option<f64>,
+        dvdt: &mut [f64],
+        buf: &mut EvalBuf,
+    ) {
         let teff = frozen_t.unwrap_or(t);
-        let n = self.circuit.n_state();
-        let mut vins = Vec::with_capacity(self.inputs.len());
-        self.input_voltages(teff, &mut vins);
-        let mut current = vec![0.0; n];
+        self.input_voltages(teff, &mut buf.vins);
+        buf.current.fill(0.0);
         self.circuit
-            .channel_currents(self.process, state, &vins, &mut current);
+            .channel_currents(self.process, state, &buf.vins, &mut buf.current);
         if frozen_t.is_none() {
-            let mut slopes = Vec::with_capacity(self.inputs.len());
-            self.input_slopes(t, &mut slopes);
+            self.input_slopes(t, &mut buf.slopes);
             self.circuit
-                .miller_injection(self.process, &slopes, &mut current);
+                .miller_injection(self.process, &buf.slopes, &mut buf.current);
         }
-        for i in 0..n {
-            dvdt[i] = current[i] / self.caps[i];
+        for (d, (c, cap)) in dvdt.iter_mut().zip(buf.current.iter().zip(&self.caps)) {
+            *d = c / cap;
         }
     }
 
-    fn rk4_step(&self, state: &mut [f64], t: f64, dt: f64, frozen: bool) {
+    fn rk4_step(&self, state: &mut [f64], t: f64, dt: f64, frozen: bool, s: &mut Scratch) {
         let n = state.len();
         let frozen_t = if frozen { Some(t) } else { None };
-        let mut k1 = vec![0.0; n];
-        let mut k2 = vec![0.0; n];
-        let mut k3 = vec![0.0; n];
-        let mut k4 = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
-        self.derivative(state, t, frozen_t, &mut k1);
+        let Scratch {
+            k1,
+            k2,
+            k3,
+            k4,
+            tmp,
+            eval,
+        } = s;
+        self.derivative(state, t, frozen_t, k1, eval);
         for i in 0..n {
             tmp[i] = state[i] + 0.5 * dt * k1[i];
         }
-        self.derivative(&tmp, t + 0.5 * dt, frozen_t, &mut k2);
+        self.derivative(tmp, t + 0.5 * dt, frozen_t, k2, eval);
         for i in 0..n {
             tmp[i] = state[i] + 0.5 * dt * k2[i];
         }
-        self.derivative(&tmp, t + 0.5 * dt, frozen_t, &mut k3);
+        self.derivative(tmp, t + 0.5 * dt, frozen_t, k3, eval);
         for i in 0..n {
             tmp[i] = state[i] + dt * k3[i];
         }
-        self.derivative(&tmp, t + dt, frozen_t, &mut k4);
+        self.derivative(tmp, t + dt, frozen_t, k4, eval);
         let vdd = self.process.vdd.as_volts();
         for i in 0..n {
             state[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
@@ -193,10 +279,6 @@ impl<'a> Transient<'a> {
             // more than a junction drop; keep them in range for stability.
             state[i] = state[i].clamp(-0.5, vdd + 0.5);
         }
-    }
-
-    fn rk4_step_frozen(&self, state: &mut [f64], t: f64, dt: f64) {
-        self.rk4_step(state, t, dt, true);
     }
 }
 

@@ -73,12 +73,16 @@ use ssdm::cells::{CellLibrary, CharConfig};
 use ssdm::netlist::{coupling_sites, parse_bench, suite, Circuit};
 use ssdm::sta::{timing_report, ModelKind, Sta, StaConfig};
 
-fn cache_path(full: bool) -> PathBuf {
-    PathBuf::from("target/ssdm-cache").join(if full {
-        "library-full.txt"
+fn char_config(full: bool) -> CharConfig {
+    if full {
+        CharConfig::full()
     } else {
-        "library-fast.txt"
-    })
+        CharConfig::fast()
+    }
+}
+
+fn cache_path(full: bool) -> PathBuf {
+    CellLibrary::cache_path("target/ssdm-cache".as_ref(), &char_config(full))
 }
 
 /// Parses an option taking a path value (e.g. `--metrics-out m.json`).
@@ -366,14 +370,9 @@ fn parse_jobs(args: &[String]) -> Result<usize, Box<dyn std::error::Error>> {
 }
 
 fn load_library(full: bool, jobs: usize) -> Result<CellLibrary, Box<dyn std::error::Error>> {
-    let config = if full {
-        CharConfig::full()
-    } else {
-        CharConfig::fast()
-    };
     Ok(CellLibrary::load_or_characterize_standard_with_jobs(
         &cache_path(full),
-        &config,
+        &char_config(full),
         jobs,
     )?)
 }

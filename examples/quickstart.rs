@@ -13,8 +13,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One-time effort (Section 3.7): characterize the standard cells
     // against the built-in transistor-level simulator. Cached on disk so
     // subsequent runs start instantly.
-    let cache = std::path::Path::new("target/ssdm-cache/library-fast.txt");
-    let lib = CellLibrary::load_or_characterize_standard(cache, &CharConfig::fast())?;
+    let config = CharConfig::fast();
+    let cache = CellLibrary::cache_path("target/ssdm-cache".as_ref(), &config);
+    let lib = CellLibrary::load_or_characterize_standard(&cache, &config)?;
     let nand2 = lib.require("NAND2")?;
     let load = nand2.ref_load();
 

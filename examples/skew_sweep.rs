@@ -11,8 +11,9 @@ use ssdm::models::{DelayModel, JunModel, NabaviModel, ProposedModel, SpiceRefere
 use ssdm::timing::{Edge, Time, Transition};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cache = std::path::Path::new("target/ssdm-cache/library-fast.txt");
-    let lib = CellLibrary::load_or_characterize_standard(cache, &CharConfig::fast())?;
+    let config = CharConfig::fast();
+    let cache = CellLibrary::cache_path("target/ssdm-cache".as_ref(), &config);
+    let lib = CellLibrary::load_or_characterize_standard(&cache, &config)?;
     let nand2 = lib.require("NAND2")?;
     let load = nand2.ref_load();
 

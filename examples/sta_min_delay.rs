@@ -15,8 +15,9 @@ use ssdm::netlist::suite;
 use ssdm::sta::{ModelKind, Sta, StaConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cache = std::path::Path::new("target/ssdm-cache/library-fast.txt");
-    let lib = CellLibrary::load_or_characterize_standard(cache, &CharConfig::fast())?;
+    let config = CharConfig::fast();
+    let cache = CellLibrary::cache_path("target/ssdm-cache".as_ref(), &config);
+    let lib = CellLibrary::load_or_characterize_standard(&cache, &config)?;
 
     println!(
         "{:<10}{:>8}{:>12}{:>12}{:>12}{:>10}",

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests: invariants the paper's method relies
 //! on, exercised with randomized circuits, stimuli and assignments.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 use ssdm::cells::{CellLibrary, CharConfig};
@@ -17,6 +17,15 @@ fn library() -> &'static CellLibrary {
     LIB.get_or_init(|| {
         CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
     })
+}
+
+/// Held by every test that runs an ATPG campaign. A campaign announces
+/// itself to the process-global progress layer, which clears the
+/// heartbeat cells whenever that layer is on; without the lock, a
+/// campaign in one test could wipe the cells another test is scraping.
+fn campaign_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One live-telemetry exporter shared by every instrumented proptest case,
@@ -273,6 +282,7 @@ proptest! {
     #[test]
     fn parallel_atpg_driver_matches_serial(seed in 0u64..100, jobs in 2usize..8) {
         use ssdm::atpg::{AtpgConfig, AtpgDriver};
+        let _campaigns = campaign_lock();
         use ssdm::netlist::coupling_sites;
         let cfg = GeneratorConfig::iscas_like("par", 6, 3, 20, seed);
         let circuit = generate(&cfg);
@@ -301,6 +311,7 @@ proptest! {
     fn instrumentation_never_changes_campaign_outcomes(seed in 0u64..100) {
         use ssdm::atpg::{AtpgConfig, AtpgDriver};
         use ssdm::netlist::coupling_sites;
+        let _campaigns = campaign_lock();
         let server = exporter();
         let cfg = GeneratorConfig::iscas_like("obs", 6, 3, 20, seed);
         let circuit = generate(&cfg);
