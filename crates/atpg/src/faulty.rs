@@ -23,10 +23,7 @@ pub fn faulty_frame2(circuit: &Circuit, good: &Assignments, victim: NetId) -> Ve
         } else {
             match gate.gtype {
                 GateType::Input => good.get(id).second,
-                _ => {
-                    let fanin: Vec<Tri> = gate.fanin.iter().map(|f| vals[f.index()]).collect();
-                    eval3(gate.gtype, &fanin)
-                }
+                _ => eval3(gate.gtype, gate.fanin.iter().map(|f| vals[f.index()])),
             }
         };
         vals[id.index()] = v;
@@ -35,8 +32,8 @@ pub fn faulty_frame2(circuit: &Circuit, good: &Assignments, victim: NetId) -> Ve
 }
 
 /// Three-valued gate evaluation.
-fn eval3(gtype: GateType, inputs: &[Tri]) -> Tri {
-    let mut it = inputs.iter().copied();
+fn eval3(gtype: GateType, inputs: impl IntoIterator<Item = Tri>) -> Tri {
+    let mut it = inputs.into_iter();
     match gtype {
         GateType::Input => Tri::X,
         GateType::Buf => it.next().expect("one input"),
@@ -149,12 +146,12 @@ mod tests {
 
     #[test]
     fn eval3_matrix() {
-        assert_eq!(eval3(GateType::Nand, &[Tri::One, Tri::X]), Tri::X);
-        assert_eq!(eval3(GateType::Nand, &[Tri::Zero, Tri::X]), Tri::One);
-        assert_eq!(eval3(GateType::Or, &[Tri::X, Tri::One]), Tri::One);
-        assert_eq!(eval3(GateType::Not, &[Tri::Zero]), Tri::One);
-        assert_eq!(eval3(GateType::Buf, &[Tri::X]), Tri::X);
-        assert_eq!(eval3(GateType::And, &[Tri::One, Tri::One]), Tri::One);
-        assert_eq!(eval3(GateType::Nor, &[Tri::Zero, Tri::Zero]), Tri::One);
+        assert_eq!(eval3(GateType::Nand, [Tri::One, Tri::X]), Tri::X);
+        assert_eq!(eval3(GateType::Nand, [Tri::Zero, Tri::X]), Tri::One);
+        assert_eq!(eval3(GateType::Or, [Tri::X, Tri::One]), Tri::One);
+        assert_eq!(eval3(GateType::Not, [Tri::Zero]), Tri::One);
+        assert_eq!(eval3(GateType::Buf, [Tri::X]), Tri::X);
+        assert_eq!(eval3(GateType::And, [Tri::One, Tri::One]), Tri::One);
+        assert_eq!(eval3(GateType::Nor, [Tri::Zero, Tri::Zero]), Tri::One);
     }
 }

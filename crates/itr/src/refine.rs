@@ -148,7 +148,10 @@ impl<'a> Itr<'a> {
     /// * [`ItrError::Sta`] — cell lookup / propagation failure.
     pub fn refine(&self, assignments: &mut Assignments) -> Result<ItrResult, ItrError> {
         let _span = ssdm_obs::span("itr.refine");
-        imply(self.circuit, assignments)?;
+        {
+            let _span = ssdm_obs::span("itr.imply");
+            imply(self.circuit, assignments)?;
+        }
         let part = self.participation_map(assignments);
         let mut slot = self.engine.borrow_mut();
         if slot.is_none() {
@@ -160,6 +163,7 @@ impl<'a> Itr<'a> {
         }
         let engine = slot.as_mut().expect("engine initialized above");
         engine.refine(&part)?;
+        let _span = ssdm_obs::span("itr.copy");
         Ok(ItrResult {
             lines: engine.lines().to_vec(),
             used: engine.used().to_vec(),

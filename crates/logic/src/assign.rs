@@ -11,16 +11,39 @@ use crate::value::{TransState, V2};
 /// Values only ever *refine* (x → 0/1); [`Assignments::set`] intersects
 /// with the existing value and reports conflicts. Snapshots (plain clones)
 /// give ATPG cheap backtracking.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The store also remembers whether its values are closed under
+/// [`crate::imply`] and which nets [`Assignments::set`] changed since, so
+/// the next implication only revisits the gates around those nets.
+/// Closure is relative to the circuit the store was last implied against:
+/// implying one store against two different circuits is not supported.
+/// Clones keep this bookkeeping; `==` compares values only.
+#[derive(Debug, Clone)]
 pub struct Assignments {
     values: Vec<V2>,
+    /// Nets whose value [`Assignments::set`] changed since the store was
+    /// last closed (recorded only while `closed` holds).
+    pending: Vec<NetId>,
+    /// True when `values` is a fixpoint of implication (up to `pending`).
+    closed: bool,
 }
 
+impl PartialEq for Assignments {
+    fn eq(&self, other: &Assignments) -> bool {
+        self.values == other.values
+    }
+}
+
+impl Eq for Assignments {}
+
 impl Assignments {
-    /// All-`xx` store for `n` nets.
+    /// All-`xx` store for `n` nets. It is already closed: no gate implies
+    /// anything from all-`x` values.
     pub fn new(n: usize) -> Assignments {
         Assignments {
             values: vec![V2::XX; n],
+            pending: Vec::new(),
+            closed: true,
         }
     }
 
@@ -61,6 +84,9 @@ impl Assignments {
             Some(merged) => {
                 let changed = merged != *slot;
                 *slot = merged;
+                if changed && self.closed {
+                    self.pending.push(net);
+                }
                 Ok(changed)
             }
             None => Err(LogicError::Conflict { net }),
@@ -87,6 +113,23 @@ impl Assignments {
     /// Raw values (read-only).
     pub fn values(&self) -> &[V2] {
         &self.values
+    }
+
+    /// The nets implication must revisit: `Some` of the nets changed since
+    /// the store was last closed, or `None` when every gate must be
+    /// revisited. Leaves the store unclosed until [`Assignments::close`].
+    pub(crate) fn take_pending(&mut self) -> Option<Vec<NetId>> {
+        let pending = std::mem::take(&mut self.pending);
+        let closed = std::mem::replace(&mut self.closed, false);
+        closed.then_some(pending)
+    }
+
+    /// Marks the values as a fixpoint of implication, handing back the
+    /// (emptied) pending buffer so its allocation is reused.
+    pub(crate) fn close(&mut self, mut pending: Vec<NetId>) {
+        pending.clear();
+        self.pending = pending;
+        self.closed = true;
     }
 }
 
@@ -137,6 +180,18 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert!(!a.is_empty());
         assert_eq!(a.values()[1], V2::new(Tri::X, Tri::X));
+    }
+
+    #[test]
+    fn equality_ignores_implication_bookkeeping() {
+        let mut a = Assignments::new(2);
+        a.set(NetId(0), V2::steady(true)).unwrap();
+        let mut b = a.clone();
+        b.pending.clear();
+        b.closed = false;
+        assert_eq!(a, b);
+        b.set(NetId(1), V2::steady(true)).unwrap();
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -17,35 +17,51 @@ use crate::value::{Tri, V2};
 /// Frames are independent for combinational circuits, so each rule runs on
 /// both frames.
 ///
+/// Implication is event-driven. When `assignments` was closed by an
+/// earlier successful call (or is fresh from [`Assignments::new`]), only
+/// the gates around the nets [`Assignments::set`] changed since are
+/// revisited, so a call on an already-implied store costs O(1). After a
+/// conflict, the next call revisits every gate. Every rule is monotone,
+/// so the fixpoint — and whether a conflict occurs — does not depend on
+/// the order gates are revisited in.
+///
 /// # Errors
 ///
 /// Returns [`LogicError::Conflict`] when the assignment is inconsistent
 /// with the circuit — the caller's current search branch is infeasible.
+/// The store is then left partially implied; the net named in the error
+/// is diagnostic only.
 pub fn imply(circuit: &Circuit, assignments: &mut Assignments) -> Result<(), LogicError> {
-    // Work queue of gates to (re)process; seeded with everything.
     let n = circuit.n_nets();
-    let mut queue: Vec<usize> = (0..n).collect();
-    let mut queued = vec![true; n];
+    let pending = assignments.take_pending();
+    if pending.as_ref().is_some_and(Vec::is_empty) {
+        assignments.close(pending.unwrap_or_default());
+        return Ok(());
+    }
+    // Work queue of gates to (re)process: the gates around each changed
+    // net of a closed store, otherwise every gate.
+    let mut queue: Vec<usize> = Vec::new();
+    let mut queued = vec![false; n];
+    match &pending {
+        Some(nets) => {
+            for &net in nets {
+                enqueue_around(circuit, net, &mut queue, &mut queued);
+            }
+        }
+        None => {
+            queue.extend(0..n);
+            queued.fill(true);
+        }
+    }
+    let mut changed = Vec::new();
     let mut head = 0;
     while head < queue.len() {
         let gi = queue[head];
         head += 1;
         queued[gi] = false;
-        let id = NetId(gi);
-        let changed = process_gate(circuit, assignments, id)?;
-        for net in changed {
-            // A changed net affects its consumers (forward) and its driver
-            // (backward).
-            for &c in circuit.fanouts(net) {
-                if !queued[c.index()] {
-                    queued[c.index()] = true;
-                    queue.push(c.index());
-                }
-            }
-            if !queued[net.index()] {
-                queued[net.index()] = true;
-                queue.push(net.index());
-            }
+        process_gate(circuit, assignments, NetId(gi), &mut changed)?;
+        for net in changed.drain(..) {
+            enqueue_around(circuit, net, &mut queue, &mut queued);
         }
         // Compact the queue occasionally to bound memory on big circuits.
         if head > 4 * n {
@@ -53,21 +69,37 @@ pub fn imply(circuit: &Circuit, assignments: &mut Assignments) -> Result<(), Log
             head = 0;
         }
     }
+    assignments.close(pending.unwrap_or_default());
     Ok(())
 }
 
-/// One forward + backward pass on the gate driving `id`; returns the nets
-/// whose values changed.
+/// Queues every gate whose rules read `net`: its consumers (forward) and
+/// its driver (backward).
+fn enqueue_around(circuit: &Circuit, net: NetId, queue: &mut Vec<usize>, queued: &mut [bool]) {
+    for &c in circuit.fanouts(net) {
+        if !queued[c.index()] {
+            queued[c.index()] = true;
+            queue.push(c.index());
+        }
+    }
+    if !queued[net.index()] {
+        queued[net.index()] = true;
+        queue.push(net.index());
+    }
+}
+
+/// One forward + backward pass on the gate driving `id`; pushes the nets
+/// whose values changed onto `changed`.
 fn process_gate(
     circuit: &Circuit,
     a: &mut Assignments,
     id: NetId,
-) -> Result<Vec<NetId>, LogicError> {
+    changed: &mut Vec<NetId>,
+) -> Result<(), LogicError> {
     let gate = circuit.gate(id);
     if gate.gtype == GateType::Input {
-        return Ok(Vec::new());
+        return Ok(());
     }
-    let mut changed = Vec::new();
     for frame in [Frame::First, Frame::Second] {
         // Forward.
         let out_val = eval_frame(circuit, a, id, frame);
@@ -75,9 +107,9 @@ fn process_gate(
             changed.push(id);
         }
         // Backward.
-        backward_frame(circuit, a, id, frame, &mut changed)?;
+        backward_frame(circuit, a, id, frame, changed)?;
     }
-    Ok(changed)
+    Ok(())
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +183,7 @@ fn backward_frame(
                 .controlling_value()
                 .expect("multi-input gates have a controlling value");
             // Output value produced when every input is non-controlling.
-            let all_noncontrolled_out = gate.gtype.eval(&vec![!cv; gate.fanin.len()]);
+            let all_noncontrolled_out = !cv ^ gate.gtype.inverting();
             if out_b == all_noncontrolled_out {
                 // Only possible when every input is at the non-controlling
                 // value.
@@ -253,7 +285,50 @@ pub fn edges_of(values: &[V2]) -> Vec<Option<Edge>> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use ssdm_netlist::suite;
+    use ssdm_netlist::{generate, suite, GeneratorConfig};
+
+    /// The oracle for event-driven implication: every gate, in index order,
+    /// round after round until a whole round changes nothing — no worklist
+    /// and no bookkeeping.
+    fn imply_from_scratch(c: &Circuit, a: &mut Assignments) -> Result<(), LogicError> {
+        let mut changed = Vec::new();
+        loop {
+            let before = a.values().to_vec();
+            for gi in 0..c.n_nets() {
+                process_gate(c, a, NetId(gi), &mut changed)?;
+            }
+            changed.clear();
+            if a.values() == before.as_slice() {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Runs [`imply`] on `a` and checks it against the oracle run on a
+    /// copy of the same store.
+    fn imply_checked(c: &Circuit, a: &mut Assignments) -> Result<(), LogicError> {
+        let mut oracle = a.clone();
+        let expected = imply_from_scratch(c, &mut oracle);
+        let got = imply(c, a);
+        assert_eq!(
+            got.is_ok(),
+            expected.is_ok(),
+            "{got:?} vs oracle {expected:?}"
+        );
+        if got.is_ok() {
+            assert_eq!(a.values(), oracle.values());
+        }
+        got
+    }
+
+    fn frame_value(second: bool, value: bool) -> V2 {
+        let v = Tri::from_bool(value);
+        if second {
+            V2::new(Tri::X, v)
+        } else {
+            V2::new(v, Tri::X)
+        }
+    }
 
     #[test]
     fn forward_implication_c17() {
@@ -343,7 +418,90 @@ mod tests {
         );
     }
 
+    #[test]
+    fn fresh_store_is_already_implied_on_every_suite_circuit() {
+        for c in suite::bench_suite() {
+            let fresh = Assignments::new(c.n_nets());
+            let mut a = fresh.clone();
+            imply_from_scratch(&c, &mut a).unwrap();
+            assert_eq!(a, fresh, "{}", c.name());
+            imply(&c, &mut a).unwrap();
+            assert_eq!(a, fresh, "{}", c.name());
+        }
+    }
+
+    #[test]
+    fn conflict_makes_the_next_call_revisit_every_gate() {
+        let c = suite::c17();
+        let mut a = Assignments::new(c.n_nets());
+        for &pi in c.inputs() {
+            a.set(pi, V2::new(Tri::One, Tri::X)).unwrap();
+        }
+        let o22 = c.find("22").unwrap();
+        a.set(o22, V2::new(Tri::Zero, Tri::X)).unwrap();
+        assert!(imply(&c, &mut a).is_err());
+        // No net changed since the failed call, yet the store is still
+        // inconsistent: only a call that revisits every gate can tell.
+        assert!(imply(&c, &mut a).is_err(), "conflict lost on the retry");
+        // The same holds after a change far from the conflict.
+        let i3 = c.find("3").unwrap();
+        a.set(i3, V2::new(Tri::X, Tri::Zero)).unwrap();
+        assert!(imply(&c, &mut a).is_err(), "conflict lost after a change");
+    }
+
     proptest! {
+        /// Event-driven implication equals from-scratch implication after
+        /// every call — values and `Ok`/`Err` alike — through random
+        /// decisions in both frames, snapshot/restore and forced
+        /// conflicts. A conflicting branch is abandoned for the last
+        /// snapshot only half the time, so calls on a store left behind
+        /// by a conflict are covered too.
+        #[test]
+        fn event_driven_matches_from_scratch(
+            circuit in 0usize..4,
+            ops in prop::collection::vec(0u64..u64::MAX, 1..40),
+        ) {
+            let c = match circuit {
+                0 => suite::c17(),
+                k => generate(&GeneratorConfig::iscas_like(
+                    "small", 4 + k, 3, 12 * k + 8, 900 + k as u64,
+                )),
+            };
+            let mut a = Assignments::new(c.n_nets());
+            let mut snapshots = Vec::new();
+            let mut conflicts = 0usize;
+            for op in ops {
+                // Low bits pick the step, the next two the frame and value,
+                // the rest the net.
+                let (second, value, index) = (op >> 8 & 1 == 1, op >> 9 & 1 == 1, (op >> 16) as usize);
+                let (net, v) = match op % 12 {
+                    // A PODEM decision: one frame of one primary input.
+                    0..=5 => (c.inputs()[index % c.inputs().len()], frame_value(second, value)),
+                    // An assignment to any net, which often forces a conflict.
+                    6 | 7 => (NetId(index % c.n_nets()), frame_value(second, value)),
+                    8 | 9 => {
+                        snapshots.push(a.clone());
+                        continue;
+                    }
+                    _ => {
+                        if let Some(s) = snapshots.pop() {
+                            a = s;
+                        }
+                        continue;
+                    }
+                };
+                if a.set(net, v).is_err() {
+                    continue;
+                }
+                if imply_checked(&c, &mut a).is_err() {
+                    conflicts += 1;
+                    if conflicts.is_multiple_of(2) {
+                        a = snapshots.last().cloned().unwrap_or_else(|| Assignments::new(c.n_nets()));
+                    }
+                }
+            }
+        }
+
         /// Soundness: implication from a subset of the true values never
         /// conflicts and never contradicts the truth.
         #[test]

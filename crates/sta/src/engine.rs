@@ -107,8 +107,8 @@ impl<'a> Sta<'a> {
 
     /// Runs forward analysis with one worker thread per topological
     /// level chunk — bit-identical to [`Sta::run`], but each level's
-    /// gates are evaluated concurrently. Worth it from a few hundred
-    /// gates up; see [`crate::incremental::PARALLEL_THRESHOLD`].
+    /// gates are evaluated concurrently. Worth it only from several
+    /// thousand gates up; see [`crate::incremental::PARALLEL_THRESHOLD`].
     ///
     /// # Errors
     ///
