@@ -317,7 +317,7 @@ impl CharacterizedGate {
         let sr = pair.sr.eval(ti_c, tj_c).max(Time::ZERO);
         let syr = pair.syr.eval(ti_c, tj_c).min(Time::ZERO);
         let v = make_vshape((syr, d_i), (Time::ZERO, d0n), (sr, d_j))?;
-        Ok(if mirrored { mirror_vshape(&v) } else { v })
+        Ok(if mirrored { v.mirrored() } else { v })
     }
 
     /// The output transition time at zero skew for a simultaneous
@@ -358,9 +358,10 @@ impl CharacterizedGate {
         load: Capacitance,
     ) -> Result<VShape, CellError> {
         let out_edge = self.ctrl_out_edge();
-        let pair = self
-            .pair(i, j)
-            .ok_or(CellError::BadPin { pin: j, n: self.n })?;
+        let pair = self.pair(i, j).ok_or(CellError::BadPin {
+            pin: j.max(i),
+            n: self.n,
+        })?;
         // Normalized orientation: pair.(i, j) with i < j; if the caller
         // asked for (j, i), mirror the skew axis.
         let mirrored = i > j;
@@ -377,7 +378,7 @@ impl CharacterizedGate {
         let sr = pair.sr.eval(ti_c, tj_c).max(Time::ZERO);
         let syr = pair.syr.eval(ti_c, tj_c).min(Time::ZERO);
         let v = make_vshape((syr, d_j), (Time::ZERO, d0), (sr, d_i))?;
-        Ok(if mirrored { mirror_vshape(&v) } else { v })
+        Ok(if mirrored { v.mirrored() } else { v })
     }
 
     /// The output-transition-time V-shape for the same pair: vertex at
@@ -396,9 +397,10 @@ impl CharacterizedGate {
         load: Capacitance,
     ) -> Result<VShape, CellError> {
         let out_edge = self.ctrl_out_edge();
-        let pair = self
-            .pair(i, j)
-            .ok_or(CellError::BadPin { pin: j, n: self.n })?;
+        let pair = self.pair(i, j).ok_or(CellError::BadPin {
+            pin: j.max(i),
+            n: self.n,
+        })?;
         let mirrored = i > j;
         let (ti_n, tj_n) = if mirrored { (t_j, t_i) } else { (t_i, t_j) };
         let (ti_c, tj_c) = (self.clamp_t(ti_n), self.clamp_t(tj_n));
@@ -414,7 +416,7 @@ impl CharacterizedGate {
         let syr = pair.syr.eval(ti_c, tj_c).min(Time::ZERO);
         let s0 = pair.sk_t_min.eval(ti_c, tj_c).clamp(syr, sr);
         let v = make_vshape((syr, tt_j), (s0, t0), (sr, tt_i))?;
-        Ok(if mirrored { mirror_vshape(&v) } else { v })
+        Ok(if mirrored { v.mirrored() } else { v })
     }
 
     /// The zero-skew floor delay for `k ≥ 2` simultaneous switches of
@@ -461,15 +463,6 @@ fn make_vshape(
     VShape::new(l, vertex, r).map_err(|_: CoreError| CellError::SingularFit {
         what: "v-shape assembly",
     })
-}
-
-/// Mirrors a V-shape across the skew origin (for querying a pair in the
-/// reverse orientation).
-fn mirror_vshape(v: &VShape) -> VShape {
-    let (ls, lv) = v.left_knee();
-    let (vs, vv) = v.vertex();
-    let (rs, rv) = v.right_knee();
-    VShape::new((-rs, rv), (-vs, vv), (-ls, lv)).expect("mirror preserves ordering")
 }
 
 #[cfg(test)]
@@ -609,6 +602,22 @@ pub(crate) mod tests {
         // Mirrored: v(δ) == m(−δ).
         for d in [-0.4, -0.1, 0.0, 0.2, 0.5] {
             assert!((v.eval(ns(d)) - m.eval(ns(-d))).abs() < ns(1e-12));
+        }
+    }
+
+    #[test]
+    fn unknown_pair_reports_the_out_of_range_pin_in_both_orientations() {
+        let g = toy_nand2();
+        let (t, load) = (ns(0.5), Capacitance::from_ff(9.0));
+        for (i, j) in [(0, 5), (5, 0)] {
+            assert!(matches!(
+                g.vshape_delay(i, j, t, t, load),
+                Err(CellError::BadPin { pin: 5, n: 2 })
+            ));
+            assert!(matches!(
+                g.vshape_ttime(i, j, t, t, load),
+                Err(CellError::BadPin { pin: 5, n: 2 })
+            ));
         }
     }
 

@@ -85,6 +85,19 @@ impl VShape {
         }
     }
 
+    /// The same shape with the skew axis reversed, so that
+    /// `v.mirrored().eval(δ)` is `v.eval(−δ)` up to rounding: the V-shape of
+    /// a pair queried in the opposite orientation. Only the three skews are
+    /// negated, which is exact, so the mirror of a valid shape is valid and
+    /// mirroring twice gives `self` back bit for bit.
+    pub fn mirrored(&self) -> VShape {
+        VShape {
+            left: (-self.right.0, self.right.1),
+            vertex: (-self.vertex.0, self.vertex.1),
+            right: (-self.left.0, self.left.1),
+        }
+    }
+
     /// Left knee `(SYR, DYR)`.
     pub fn left_knee(&self) -> (Time, Time) {
         self.left
@@ -230,6 +243,20 @@ mod tests {
         let v = VShape::new((ns(-0.3), ns(0.5)), (ns(0.1), ns(0.2)), (ns(0.4), ns(0.45))).unwrap();
         assert_eq!(v.eval(ns(0.1)), ns(0.2));
         assert_eq!(v.argmin_over(Bound::unbounded()).0, ns(0.1));
+    }
+
+    #[test]
+    fn mirror_reverses_the_skew_axis_exactly() {
+        let v = VShape::new((ns(-0.3), ns(0.5)), (ns(0.1), ns(0.2)), (ns(0.4), ns(0.45))).unwrap();
+        let m = v.mirrored();
+        assert_eq!(m.left_knee(), (ns(-0.4), ns(0.45)));
+        assert_eq!(m.vertex(), (ns(-0.1), ns(0.2)));
+        assert_eq!(m.right_knee(), (ns(0.3), ns(0.5)));
+        assert_eq!(m.mirrored(), v);
+        for i in -30..=30 {
+            let d = ns(i as f64 * 0.025);
+            assert!((m.eval(d) - v.eval(-d)).abs() < ns(1e-12));
+        }
     }
 
     #[test]

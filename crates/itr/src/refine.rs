@@ -15,6 +15,7 @@
 //! transitive consequences of the caller's assignments.
 
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use ssdm_cells::CellLibrary;
 use ssdm_core::{Bound, Edge, Time};
@@ -22,7 +23,7 @@ use ssdm_logic::{imply, Assignments, TransState};
 use ssdm_netlist::{Circuit, GateType, NetId};
 use ssdm_sta::{
     stage_plan, stage_windows, DelaysUsed, IncrementalSta, IncrementalStats, LineTiming,
-    Participation, ParticipationMap, PinWindow, Sta, StaConfig, TimingView,
+    Participation, ParticipationMap, PinWindow, SharedTiming, Sta, StaConfig, TimingView,
 };
 
 use crate::error::ItrError;
@@ -37,17 +38,24 @@ pub struct Itr<'a> {
     /// [`Itr::refine`] callable through `&self` (ATPG holds the refiner
     /// by shared reference while mutating its own search state).
     engine: RefCell<Option<IncrementalSta<'a>>>,
+    /// The participation map of the latest call, refilled in place.
+    part: RefCell<ParticipationMap>,
     /// Counters banked from engines dropped by [`Itr::rebuild_engine`],
     /// so [`Itr::stats`] stays monotone across rebuilds.
     retired_stats: Cell<IncrementalStats>,
 }
 
 /// Refined timing windows under a partial two-frame assignment.
+///
+/// A result shares the refiner's state copy-on-write, so returning it
+/// copies nothing. Holding it across the next [`Itr::refine`] that changes
+/// a window costs one copy of the state in that call; dropping it first
+/// costs none.
 #[derive(Debug, Clone)]
 pub struct ItrResult {
-    lines: Vec<LineTiming>,
-    used: Vec<DelaysUsed>,
-    inverting: Vec<bool>,
+    lines: Arc<Vec<LineTiming>>,
+    used: Arc<Vec<DelaysUsed>>,
+    inverting: Arc<[bool]>,
 }
 
 impl TimingView for ItrResult {
@@ -103,23 +111,22 @@ impl<'a> Itr<'a> {
             library,
             config,
             engine: RefCell::new(None),
+            part: RefCell::new(ParticipationMap::new()),
             retired_stats: Cell::new(IncrementalStats::default()),
         }
     }
 
-    /// Projects the full assignment state onto per-net edge participation —
-    /// the only channel through which logic influences timing, which is
-    /// what makes participation diffing a sound dirty-set seed.
-    fn participation_map(&self, assignments: &Assignments) -> ParticipationMap {
-        self.circuit
-            .topo()
-            .map(|id| {
-                [
-                    participation(assignments.state(id, Edge::Rise)),
-                    participation(assignments.state(id, Edge::Fall)),
-                ]
-            })
-            .collect()
+    /// Projects the full assignment state onto per-net edge participation
+    /// in `part` — the only channel through which logic influences timing,
+    /// which is what makes participation diffing a sound dirty-set seed.
+    fn fill_participation(&self, assignments: &Assignments, part: &mut ParticipationMap) {
+        part.clear();
+        part.extend(self.circuit.topo().map(|id| {
+            [
+                participation(assignments.state(id, Edge::Rise)),
+                participation(assignments.state(id, Edge::Fall)),
+            ]
+        }));
     }
 
     /// Recomputes all timing windows under `assignments`.
@@ -152,7 +159,8 @@ impl<'a> Itr<'a> {
             let _span = ssdm_obs::span("itr.imply");
             imply(self.circuit, assignments)?;
         }
-        let part = self.participation_map(assignments);
+        let mut part = self.part.borrow_mut();
+        self.fill_participation(assignments, &mut part);
         let mut slot = self.engine.borrow_mut();
         if slot.is_none() {
             *slot = Some(IncrementalSta::new(
@@ -164,10 +172,15 @@ impl<'a> Itr<'a> {
         let engine = slot.as_mut().expect("engine initialized above");
         engine.refine(&part)?;
         let _span = ssdm_obs::span("itr.copy");
+        let SharedTiming {
+            lines,
+            used,
+            inverting,
+        } = engine.share();
         Ok(ItrResult {
-            lines: engine.lines().to_vec(),
-            used: engine.used().to_vec(),
-            inverting: engine.inverting().to_vec(),
+            lines,
+            used,
+            inverting,
         })
     }
 
@@ -281,9 +294,9 @@ impl<'a> Itr<'a> {
             inverting[id.index()] = plan.inverting();
         }
         Ok(ItrResult {
-            lines,
-            used,
-            inverting,
+            lines: Arc::new(lines),
+            used: Arc::new(used),
+            inverting: inverting.into(),
         })
     }
 
@@ -377,6 +390,38 @@ mod tests {
             stats.memo_hits > 0,
             "backtrack should hit the memo: {stats:?}"
         );
+    }
+
+    #[test]
+    fn held_result_keeps_its_windows_across_later_refines() {
+        let c = suite::synthetic("c880s").unwrap();
+        let itr = Itr::new(&c, library(), StaConfig::default());
+        let fresh = |a: &Assignments| {
+            Itr::new(&c, library(), StaConfig::default())
+                .refine(&mut a.clone())
+                .unwrap()
+        };
+        let empty = Assignments::new(c.n_nets());
+        let mut a = empty.clone();
+        a.set(c.inputs()[0], V2::transition(Edge::Rise)).unwrap();
+        let mut b = empty.clone();
+        b.set(c.inputs()[5], V2::steady(false)).unwrap();
+        // Results dropped before the next call cost no copy.
+        for x in [&empty, &a, &empty] {
+            drop(itr.refine(&mut x.clone()).unwrap());
+        }
+        assert_eq!(itr.stats().state_copies, 0);
+        // A held result costs exactly one copy at the next change, and
+        // still describes its own assignment afterwards.
+        let held = itr.refine(&mut a.clone()).unwrap();
+        let later = itr.refine(&mut b.clone()).unwrap();
+        assert_eq!(itr.stats().state_copies, 1);
+        for (got, want) in [(&held, fresh(&a)), (&later, fresh(&b))] {
+            assert_eq!(got.lines, want.lines);
+            assert_eq!(got.used, want.used);
+            assert_eq!(got.inverting, want.inverting);
+        }
+        assert_ne!(held.lines, later.lines);
     }
 
     #[test]

@@ -41,6 +41,8 @@
 //!   the assignment of gates to threads varies.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use ssdm_cells::{CellLibrary, CharacterizedGate};
 use ssdm_core::{Capacitance, Edge};
@@ -94,6 +96,10 @@ pub struct IncrementalStats {
     pub memo_misses: u64,
     /// Times the memo cache hit its size cap and was cleared.
     pub memo_evictions: u64,
+    /// Copies of the window state made because a [`SharedTiming`] (an
+    /// ITR result) still held it when a pass changed it
+    /// (`itr.copy.cloned`).
+    pub state_copies: u64,
 }
 
 impl std::ops::Add for IncrementalStats {
@@ -108,6 +114,7 @@ impl std::ops::Add for IncrementalStats {
             memo_hits: self.memo_hits + rhs.memo_hits,
             memo_misses: self.memo_misses + rhs.memo_misses,
             memo_evictions: self.memo_evictions + rhs.memo_evictions,
+            state_copies: self.state_copies + rhs.state_copies,
         }
     }
 }
@@ -132,6 +139,7 @@ struct EngineCounters {
     memo_hits: ssdm_obs::Counter,
     memo_misses: ssdm_obs::Counter,
     memo_evictions: ssdm_obs::Counter,
+    state_copies: ssdm_obs::Counter,
 }
 
 impl EngineCounters {
@@ -144,6 +152,9 @@ impl EngineCounters {
             memo_hits: ssdm_obs::counter("sta.incremental.memo_hits"),
             memo_misses: ssdm_obs::counter("sta.incremental.memo_misses"),
             memo_evictions: ssdm_obs::counter("sta.incremental.memo_evictions"),
+            // The deferred half of the `itr.copy` span: the copy an ITR
+            // result still alive at the next change costs.
+            state_copies: ssdm_obs::counter("itr.copy.cloned"),
         }
     }
 
@@ -156,13 +167,16 @@ impl EngineCounters {
             memo_hits: self.memo_hits.get(),
             memo_misses: self.memo_misses.get(),
             memo_evictions: self.memo_evictions.get(),
+            state_copies: self.state_copies.get(),
         }
     }
 }
 
-/// Gate evaluations beyond this many live memo entries clear the cache
-/// (bounds memory on pathological PODEM runs; normal campaigns stay far
-/// below it).
+/// Gate evaluations beyond this many live memo entries, on top of one
+/// per net, clear the cache (bounds memory on pathological PODEM runs;
+/// normal campaigns stay far below it). The first pass alone fills one
+/// entry per gate, which must not eat into this headroom, or a large
+/// circuit's root state is cleared after a few decisions.
 const MEMO_CAP: usize = 1 << 18;
 
 /// Circuits at least this many nets large get a parallel first pass by
@@ -172,8 +186,9 @@ const MEMO_CAP: usize = 1 << 18;
 /// and won from 8k nets on (0.86× at 8k, 0.57× at 100k).
 pub const PARALLEL_THRESHOLD: usize = 8192;
 
-/// One gate's recomputed state: `(net index, windows, used delays)`.
-type EvalOutput = (usize, LineTiming, DelaysUsed);
+/// One gate's recomputed state in a parallel pass: `(net index, memo
+/// key, windows, used delays)`; the key is `None` for primary inputs.
+type EvalOutput = (usize, Option<Box<[u64]>>, LineTiming, DelaysUsed);
 
 /// A netlist gate resolved onto its characterized cells once, ahead of
 /// time (`stage_plan` + library lookups are string-keyed and would
@@ -184,12 +199,53 @@ struct ResolvedGate<'a> {
     inverting: bool,
 }
 
-/// Bit-exact memoization key: the gate index plus the exact f64 bit
-/// patterns of every input the evaluation depends on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct MemoKey {
-    gate: u32,
-    words: Box<[u64]>,
+/// The memo's hasher: one multiply-rotate step per key word. Keys are
+/// short runs of `u64` words (see [`IncrementalSta::write_key`]), and a
+/// probe still compares the whole key, so hash quality only affects speed.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits; the multiply leaves
+        // its best-mixed bits at the top.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Memoized gate evaluations under their bit-exact keys.
+type Memo = HashMap<Box<[u64]>, (LineTiming, DelaysUsed), BuildHasherDefault<WordHasher>>;
+
+/// The engine's window state, shared copy-on-write by
+/// [`IncrementalSta::share`]: taking it copies nothing, and a later pass
+/// copies the engine's state once, at its first change, only while a
+/// `SharedTiming` taken before is still alive.
+#[derive(Debug, Clone)]
+pub struct SharedTiming {
+    /// Per-line windows, indexed by net.
+    pub lines: Arc<Vec<LineTiming>>,
+    /// Per-gate used-delay records, indexed by net.
+    pub used: Arc<Vec<DelaysUsed>>,
+    /// Whether each composite gate is logically inverting.
+    pub inverting: Arc<[bool]>,
 }
 
 fn push_line(words: &mut Vec<u64>, lt: &LineTiming) {
@@ -227,10 +283,12 @@ pub struct IncrementalSta<'a> {
     /// Net indices grouped by topological level, for parallel passes.
     levels: Vec<Vec<usize>>,
     part: ParticipationMap,
-    lines: Vec<LineTiming>,
-    used: Vec<DelaysUsed>,
-    inverting: Vec<bool>,
-    memo: HashMap<MemoKey, (LineTiming, DelaysUsed)>,
+    lines: Arc<Vec<LineTiming>>,
+    used: Arc<Vec<DelaysUsed>>,
+    inverting: Arc<[bool]>,
+    memo: Memo,
+    /// Scratch buffer the serial passes build memo keys in.
+    key: Vec<u64>,
     counters: EngineCounters,
     primed: bool,
 }
@@ -301,10 +359,11 @@ impl<'a> IncrementalSta<'a> {
             plans,
             levels,
             part: unconstrained_participation(n),
-            lines: vec![LineTiming::default(); n],
-            used: vec![Vec::new(); n],
+            lines: Arc::new(vec![LineTiming::default(); n]),
+            used: Arc::new(vec![Vec::new(); n]),
             inverting,
-            memo: HashMap::new(),
+            memo: Memo::default(),
+            key: Vec::new(),
             counters: EngineCounters::new(),
             primed: false,
         })
@@ -388,41 +447,60 @@ impl<'a> IncrementalSta<'a> {
         Ok((lt, total_used))
     }
 
-    /// Builds the memo key of `idx` under the current state; `None` for
-    /// primary inputs (their evaluation is cheaper than a map probe).
-    fn memo_key(&self, idx: usize) -> Option<MemoKey> {
-        self.plans[idx].as_ref()?;
-        let gate = self.circuit.gate(NetId(idx));
-        let mut words = Vec::with_capacity(2 + gate.fanin.len() * 11);
-        words.push(part_code(self.part[idx]));
-        for &f in &gate.fanin {
-            words.push(part_code(self.part[f.index()]));
-            push_line(&mut words, &self.lines[f.index()]);
+    /// Writes the memo key of gate `idx` under the current state into
+    /// `key`: the gate index, then the exact bit patterns of every
+    /// participation and fan-in window field its evaluation reads.
+    fn write_key(&self, idx: usize, key: &mut Vec<u64>) {
+        key.clear();
+        key.push(idx as u64);
+        key.push(part_code(self.part[idx]));
+        for &f in &self.circuit.gate(NetId(idx)).fanin {
+            key.push(part_code(self.part[f.index()]));
+            push_line(key, &self.lines[f.index()]);
         }
-        Some(MemoKey {
-            gate: idx as u32,
-            words: words.into_boxed_slice(),
-        })
     }
 
-    /// Evaluates one net through the memo cache.
+    /// Evaluates one net through the memo cache; primary inputs bypass it
+    /// (their evaluation is cheaper than a probe).
     fn eval_gate(&mut self, idx: usize) -> Result<(LineTiming, DelaysUsed), StaError> {
         self.counters.gates_evaluated.incr();
-        let Some(key) = self.memo_key(idx) else {
+        if self.plans[idx].is_none() {
             return self.eval_gate_uncached(idx);
-        };
-        if let Some(hit) = self.memo.get(&key) {
-            self.counters.memo_hits.incr();
-            return Ok(hit.clone());
         }
+        let mut key = std::mem::take(&mut self.key);
+        self.write_key(idx, &mut key);
+        let value = match self.memo.get(&key[..]) {
+            Some(hit) => {
+                self.counters.memo_hits.incr();
+                Ok(hit.clone())
+            }
+            None => self.eval_gate_uncached(idx).inspect(|value| {
+                self.memoize(key.as_slice().into(), value.clone());
+            }),
+        };
+        self.key = key;
+        value
+    }
+
+    /// Records a freshly evaluated gate under its key (a memo miss).
+    fn memoize(&mut self, key: Box<[u64]>, value: (LineTiming, DelaysUsed)) {
         self.counters.memo_misses.incr();
-        let value = self.eval_gate_uncached(idx)?;
-        if self.memo.len() >= MEMO_CAP {
+        if self.memo.len() >= MEMO_CAP + self.circuit.n_nets() {
             self.memo.clear();
             self.counters.memo_evictions.incr();
         }
-        self.memo.insert(key, value.clone());
-        Ok(value)
+        self.memo.insert(key, value);
+    }
+
+    /// Stores net `idx`'s new state, copying the whole state first when a
+    /// [`SharedTiming`] still holds it.
+    fn store(&mut self, idx: usize, lt: LineTiming, du: DelaysUsed) {
+        let held = (Arc::as_ptr(&self.lines), Arc::as_ptr(&self.used));
+        Arc::make_mut(&mut self.lines)[idx] = lt;
+        Arc::make_mut(&mut self.used)[idx] = du;
+        if held != (Arc::as_ptr(&self.lines), Arc::as_ptr(&self.used)) {
+            self.counters.state_copies.incr();
+        }
     }
 
     /// Recomputes every net sequentially under `part` (through the memo
@@ -442,8 +520,7 @@ impl<'a> IncrementalSta<'a> {
         self.counters.full_passes.incr();
         for id in self.circuit.topo() {
             let (lt, du) = self.eval_gate(id.index())?;
-            self.lines[id.index()] = lt;
-            self.used[id.index()] = du;
+            self.store(id.index(), lt, du);
         }
         self.primed = true;
         Ok(())
@@ -451,8 +528,12 @@ impl<'a> IncrementalSta<'a> {
 
     /// Recomputes every net under `part`, evaluating each topological
     /// level's gates across `threads` worker threads. Results are
-    /// bit-identical to [`IncrementalSta::full_pass`]; the memo cache is
-    /// neither consulted nor populated.
+    /// bit-identical to [`IncrementalSta::full_pass`], and like it the
+    /// pass leaves every gate's evaluation in the memo cache: workers
+    /// build each key next to its evaluation (fan-ins sit on lower,
+    /// already committed levels), and this thread inserts them in level
+    /// order. Workers do not probe the cache, so every gate counts as a
+    /// miss.
     ///
     /// # Errors
     ///
@@ -495,9 +576,17 @@ impl<'a> IncrementalSta<'a> {
                                 ssdm_obs::progress::heartbeat(|| format!("sta.worker.{w}"));
                             heartbeat.beat(level as u64);
                             let _span = ssdm_obs::span("sta.level");
+                            let mut key = Vec::new();
                             let out: Result<Vec<EvalOutput>, StaError> = ids
                                 .iter()
-                                .map(|&i| engine.eval_gate_uncached(i).map(|(lt, du)| (i, lt, du)))
+                                .map(|&i| {
+                                    let (lt, du) = engine.eval_gate_uncached(i)?;
+                                    let key = engine.plans[i].as_ref().map(|_| {
+                                        engine.write_key(i, &mut key);
+                                        key.as_slice().into()
+                                    });
+                                    Ok((i, key, lt, du))
+                                })
                                 .collect();
                             heartbeat.done();
                             out
@@ -511,10 +600,12 @@ impl<'a> IncrementalSta<'a> {
             });
             self.levels[level] = ids;
             for r in results {
-                for (i, lt, du) in r? {
+                for (i, key, lt, du) in r? {
                     self.counters.gates_evaluated.incr();
-                    self.lines[i] = lt;
-                    self.used[i] = du;
+                    if let Some(key) = key {
+                        self.memoize(key, (lt, du.clone()));
+                    }
+                    self.store(i, lt, du);
                 }
             }
         }
@@ -595,8 +686,7 @@ impl<'a> IncrementalSta<'a> {
                 if events {
                     emit_shrink_events(i as u32, &self.lines[i], &lt, seeded[i]);
                 }
-                self.lines[i] = lt;
-                self.used[i] = du;
+                self.store(i, lt, du);
                 for &c in self.circuit.fanouts(NetId(i)) {
                     push(&mut heap, &mut queued, c.index());
                 }
@@ -624,6 +714,15 @@ impl<'a> IncrementalSta<'a> {
         &self.inverting
     }
 
+    /// Shares the current state without copying it; see [`SharedTiming`].
+    pub fn share(&self) -> SharedTiming {
+        SharedTiming {
+            lines: Arc::clone(&self.lines),
+            used: Arc::clone(&self.used),
+            inverting: Arc::clone(&self.inverting),
+        }
+    }
+
     /// Work counters accumulated since construction (a point-in-time
     /// snapshot of this engine's `sta.incremental.*` counters).
     pub fn stats(&self) -> IncrementalStats {
@@ -638,9 +737,9 @@ impl<'a> IncrementalSta<'a> {
     pub fn snapshot(&self) -> StaResult {
         assert!(self.primed, "snapshot before any pass");
         StaResult::from_parts(
-            self.lines.clone(),
-            self.used.clone(),
-            self.inverting.clone(),
+            self.lines.to_vec(),
+            self.used.to_vec(),
+            self.inverting.to_vec(),
             self.config.model,
         )
     }
@@ -696,7 +795,8 @@ pub fn default_threads(n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::engine::Sta;
-    use crate::testlib::library;
+    use crate::propagate::ModelKind;
+    use crate::testlib::{library, timing_digest};
     use ssdm_netlist::suite;
 
     fn assert_matches_sta(circuit: &Circuit) {
@@ -795,6 +895,7 @@ mod tests {
             memo_hits: 5,
             memo_misses: 6,
             memo_evictions: 7,
+            state_copies: 8,
         };
         let mut b = a;
         b += a;
@@ -838,6 +939,70 @@ mod tests {
         assert!(events
             .iter()
             .any(|r| matches!(r.event, ssdm_obs::Event::StaCorner { .. })));
+    }
+
+    /// `Sta::run` digests on the fast test library, recorded before the
+    /// window kernel was last optimized; any change to a window or
+    /// `delay_used` bit under any model fails here.
+    const PINNED_DIGESTS: [(&str, ModelKind, u64); 9] = [
+        ("c17", ModelKind::PinToPin, 0xb560_6415_5f6d_e6ba),
+        ("c17", ModelKind::Proposed, 0x1c2f_1a0d_fa8c_fc66),
+        ("c17", ModelKind::ProposedMiller, 0x2606_2b42_247b_988e),
+        ("c880s", ModelKind::PinToPin, 0xe861_a975_067e_fe68),
+        ("c880s", ModelKind::Proposed, 0xeecc_f3ed_2a15_4e0d),
+        ("c880s", ModelKind::ProposedMiller, 0xfdcc_8c22_9fc5_5ee2),
+        ("c7552s", ModelKind::PinToPin, 0x0b00_de0c_d03d_b087),
+        ("c7552s", ModelKind::Proposed, 0xce74_a684_a7cf_25d8),
+        ("c7552s", ModelKind::ProposedMiller, 0x8556_f9b5_7a60_26b5),
+    ];
+
+    #[test]
+    fn sta_run_and_parallel_pass_match_pinned_digests() {
+        let lib = library();
+        let circuit = |name: &str| match name {
+            "c17" => suite::c17(),
+            _ => suite::synthetic(name).unwrap(),
+        };
+        let got: Vec<_> = PINNED_DIGESTS
+            .iter()
+            .map(|&(name, model, _)| {
+                let c = circuit(name);
+                let cfg = StaConfig::default().with_model(model);
+                let sta = Sta::new(&c, lib, cfg).run().unwrap();
+                (name, model, timing_digest(&c, &sta))
+            })
+            .collect();
+        assert_eq!(got, PINNED_DIGESTS);
+        for &(name, model, want) in &PINNED_DIGESTS {
+            // The parallel first pass reaches the same state and leaves
+            // it memoized: an unchanged-state pass is all hits.
+            let c = circuit(name);
+            let part = unconstrained_participation(c.n_nets());
+            let cfg = StaConfig::default().with_model(model);
+            let mut eng = IncrementalSta::new(&c, lib, cfg).unwrap();
+            eng.full_pass_parallel(&part, 2).unwrap();
+            assert_eq!(timing_digest(&c, &eng.snapshot()), want, "{name} {model:?}");
+            let before = eng.stats();
+            eng.full_pass(&part).unwrap();
+            assert_eq!(
+                eng.stats().memo_misses,
+                before.memo_misses,
+                "{name} {model:?}"
+            );
+            assert_eq!(timing_digest(&c, &eng.snapshot()), want, "{name} {model:?}");
+            // So is retracting a decision back to the first pass's state.
+            let mut decided = part.clone();
+            decided[c.inputs()[0].index()] = [Participation::Must, Participation::Cannot];
+            eng.refine(&decided).unwrap();
+            let before = eng.stats();
+            eng.refine(&part).unwrap();
+            assert_eq!(
+                eng.stats().memo_misses,
+                before.memo_misses,
+                "{name} {model:?}"
+            );
+            assert_eq!(timing_digest(&c, &eng.snapshot()), want, "{name} {model:?}");
+        }
     }
 
     #[test]

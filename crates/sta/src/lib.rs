@@ -56,7 +56,7 @@ pub mod window;
 
 pub use backward::{find_violations, required_times, violates, Required};
 pub use incremental::{
-    unconstrained_participation, IncrementalSta, IncrementalStats, ParticipationMap,
+    unconstrained_participation, IncrementalSta, IncrementalStats, ParticipationMap, SharedTiming,
 };
 
 pub use engine::{Sta, StaConfig, StaResult, TimingView};
@@ -72,12 +72,51 @@ pub use window::{EdgeTiming, LineTiming, Participation, PinWindow};
 pub(crate) mod testlib {
     //! Shared, once-per-binary characterized library for tests.
     use ssdm_cells::{CellLibrary, CharConfig};
+    use ssdm_core::Edge;
+    use ssdm_netlist::Circuit;
     use std::sync::OnceLock;
+
+    use crate::TimingView;
 
     pub fn library() -> &'static CellLibrary {
         static LIB: OnceLock<CellLibrary> = OnceLock::new();
         LIB.get_or_init(|| {
             CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
         })
+    }
+
+    /// FNV-1a over the exact bit patterns of every line's eight window
+    /// fields and every `delay_used` entry, in topological order.
+    pub fn timing_digest(circuit: &Circuit, view: &impl TimingView) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for id in circuit.topo() {
+            for e in Edge::BOTH {
+                match view.line(id).edge(e) {
+                    None => word(u64::MAX),
+                    Some(et) => {
+                        for t in [et.arrival.s(), et.arrival.l(), et.ttime.s(), et.ttime.l()] {
+                            word(t.as_ns().to_bits());
+                        }
+                    }
+                }
+            }
+            for pin in 0..circuit.gate(id).fanin.len() {
+                for e in Edge::BOTH {
+                    match view.delay_used(id, pin, e) {
+                        None => word(u64::MAX),
+                        Some(b) => {
+                            word(b.s().as_ns().to_bits());
+                            word(b.l().as_ns().to_bits());
+                        }
+                    }
+                }
+            }
+        }
+        h
     }
 }

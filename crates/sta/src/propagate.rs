@@ -4,7 +4,7 @@
 //! plain STA the all-`May` case.
 
 use ssdm_cells::CharacterizedGate;
-use ssdm_core::{Bound, Capacitance, Edge, Time};
+use ssdm_core::{Bound, Capacitance, Edge, Time, VShape};
 use ssdm_obs::{DelayTerm, Event, EventBound, EventEdge};
 
 use crate::error::StaError;
@@ -278,6 +278,11 @@ fn edge_windows(
     }
     let ctrl = cell.n_inputs() >= 2 && out_edge == cell.ctrl_out_edge();
     let any_must = active.iter().any(|a| a.must);
+    let shapes = if ctrl && model.vshape() {
+        PairShapes::build(cell, load, &active)?
+    } else {
+        PairShapes::default()
+    };
 
     // --- Arrival window -------------------------------------------------
     // Alongside each bound, remember which input's corner was binding
@@ -294,9 +299,9 @@ fn edge_windows(
             // late corner (this is what collapses windows toward points
             // when vectors are fully specified, Section 5).
             let mut best = Time::INFINITY;
-            for trig in active.iter().filter(|a| a.must) {
+            for (t, trig) in active.iter().enumerate().filter(|(_, a)| a.must) {
                 let (d, term) = if model.vshape() {
-                    composed_max(cell, load, trig, &active)?
+                    composed_max(cell, &shapes, t, &active)
                 } else {
                     (trig.dmax, DelayTerm::Dr)
                 };
@@ -331,7 +336,7 @@ fn edge_windows(
         let mut min_used: Vec<Time> = active.iter().map(|a| a.dmin).collect();
         for (idx, trig) in active.iter().enumerate() {
             let (d, term) = if model.vshape() {
-                composed_min(cell, load, trig, &active)?
+                composed_min(cell, &shapes, idx, &active)
             } else {
                 (trig.dmin, DelayTerm::Dr)
             };
@@ -485,49 +490,87 @@ fn edge_windows(
     ))
 }
 
-/// The smallest delay achievable when `trig` is the earliest switching
-/// input: its pin-to-pin minimum, scaled down by each other input's best
-/// pairwise V-shape ratio over the achievable skews, floored by the
-/// characterized k-way zero-skew delay (Section 3.6 extension).
+/// The to-controlling delay V-shapes of every ordered pair of active
+/// inputs at their four transition-time corners, built once per edge
+/// evaluation so that [`composed_min`] and [`composed_max`] share them.
+///
+/// `get(t, o)[ci][cj]` is exactly `cell.vshape_delay(t.pin, o.pin, Tt, To)`
+/// with `Tt` / `To` the clamped corner `ci` / `cj` (0 = `S`, 1 = `L`) of the
+/// trigger's and the companion's transition times. Active inputs are in
+/// pin order, so `t < o` is the pair's normalized orientation; the other
+/// one is the normalized shape's [`VShape::mirrored`], which is what
+/// `vshape_delay` itself returns for a reversed query.
+#[derive(Default)]
+struct PairShapes {
+    n: usize,
+    shapes: Vec<[[VShape; 2]; 2]>,
+}
+
+impl PairShapes {
+    fn build(
+        cell: &CharacterizedGate,
+        load: Capacitance,
+        active: &[Active],
+    ) -> Result<PairShapes, StaError> {
+        let n = active.len();
+        let corners = |a: &Active| [cell.clamp_t(a.ttime.s()), cell.clamp_t(a.ttime.l())];
+        let mut shapes = vec![[[VShape::flat(Time::ZERO); 2]; 2]; n * n];
+        for (t, lo) in active.iter().enumerate() {
+            for (o, hi) in active.iter().enumerate().skip(t + 1) {
+                let (ct, co) = (corners(lo), corners(hi));
+                for ci in 0..2 {
+                    for cj in 0..2 {
+                        let v = cell.vshape_delay(lo.pin, hi.pin, ct[ci], co[cj], load)?;
+                        shapes[t * n + o][ci][cj] = v;
+                        shapes[o * n + t][cj][ci] = v.mirrored();
+                    }
+                }
+            }
+        }
+        Ok(PairShapes { n, shapes })
+    }
+
+    /// The shapes with active input `t` triggering and `o` the companion.
+    fn get(&self, t: usize, o: usize) -> &[[VShape; 2]; 2] {
+        &self.shapes[t * self.n + o]
+    }
+}
+
+/// The smallest delay achievable when active input `t` is the earliest
+/// switching one: its pin-to-pin minimum, scaled down by each other
+/// input's best pairwise V-shape ratio over the achievable skews, floored
+/// by the characterized k-way zero-skew delay (Section 3.6 extension).
 ///
 /// Also classifies which model term produced the result: `DR` when no
 /// companion speed-up applied, `SR` when a saturation-skew ratio scaled
 /// the delay, `D0R` when the k-way zero-skew floor was binding.
 fn composed_min(
     cell: &CharacterizedGate,
-    load: Capacitance,
-    trig: &Active,
+    shapes: &PairShapes,
+    t: usize,
     active: &[Active],
-) -> Result<(Time, DelayTerm), StaError> {
+) -> (Time, DelayTerm) {
+    let trig = &active[t];
     let mut d = trig.dmin;
     let mut scaled = false;
     let mut k_sim = 1usize;
     let mut t_small_sum = cell.clamp_t(trig.ttime.s());
-    for other in active {
-        if other.pin == trig.pin {
+    for (o, other) in active.iter().enumerate() {
+        if o == t {
             continue;
         }
         // Achievable skews δ = A_other − A_trig.
         let skews = other.arrival.sub(trig.arrival);
         let mut best_ratio = 1.0f64;
         let mut in_window = false;
-        for ti in [trig.ttime.s(), trig.ttime.l()] {
-            for tj in [other.ttime.s(), other.ttime.l()] {
-                let v = cell.vshape_delay(
-                    trig.pin,
-                    other.pin,
-                    cell.clamp_t(ti),
-                    cell.clamp_t(tj),
-                    load,
-                )?;
-                let knee = v.right_knee().1;
-                if knee > Time::ZERO {
-                    let r = (v.min_over(skews) / knee).clamp(0.0, 1.0);
-                    best_ratio = best_ratio.min(r);
-                }
-                if skews.overlaps(v.simultaneous_window()) {
-                    in_window = true;
-                }
+        for v in shapes.get(t, o).iter().flatten() {
+            let knee = v.right_knee().1;
+            if knee > Time::ZERO {
+                let r = (v.min_over(skews) / knee).clamp(0.0, 1.0);
+                best_ratio = best_ratio.min(r);
+            }
+            if skews.overlaps(v.simultaneous_window()) {
+                in_window = true;
             }
         }
         if best_ratio < 1.0 {
@@ -548,50 +591,42 @@ fn composed_min(
             }
         }
     }
-    Ok((d, term))
+    (d, term)
 }
 
-/// The largest delay achievable when `trig` (a `Must` input) may be the
-/// latest trigger: its pin-to-pin maximum, scaled by each other `Must`
-/// input's *worst-case* (largest) pairwise V-shape ratio over the
+/// The largest delay achievable when active input `t` (a `Must` input)
+/// may be the latest trigger: its pin-to-pin maximum, scaled by each other
+/// `Must` input's *worst-case* (largest) pairwise V-shape ratio over the
 /// achievable skews — a definite companion transition reduces the delay by
 /// at least that much. Term classification as in [`composed_min`].
 fn composed_max(
     cell: &CharacterizedGate,
-    load: Capacitance,
-    trig: &Active,
+    shapes: &PairShapes,
+    t: usize,
     active: &[Active],
-) -> Result<(Time, DelayTerm), StaError> {
+) -> (Time, DelayTerm) {
+    let trig = &active[t];
     let mut d = trig.dmax;
     let mut scaled = false;
     let mut k_sim = 1usize;
     let mut t_large_sum = cell.clamp_t(trig.ttime.l());
-    for other in active {
-        if other.pin == trig.pin || !other.must {
+    for (o, other) in active.iter().enumerate() {
+        if o == t || !other.must {
             continue;
         }
         let skews = other.arrival.sub(trig.arrival);
         let mut worst_ratio = 0.0f64;
         let mut always_in_window = true;
-        for ti in [trig.ttime.s(), trig.ttime.l()] {
-            for tj in [other.ttime.s(), other.ttime.l()] {
-                let v = cell.vshape_delay(
-                    trig.pin,
-                    other.pin,
-                    cell.clamp_t(ti),
-                    cell.clamp_t(tj),
-                    load,
-                )?;
-                let knee = v.right_knee().1;
-                if knee > Time::ZERO {
-                    let r = (v.max_over(skews) / knee).clamp(0.0, 1.0);
-                    worst_ratio = worst_ratio.max(r);
-                } else {
-                    worst_ratio = 1.0;
-                }
-                if !v.simultaneous_window().contains_bound(skews) {
-                    always_in_window = false;
-                }
+        for v in shapes.get(t, o).iter().flatten() {
+            let knee = v.right_knee().1;
+            if knee > Time::ZERO {
+                let r = (v.max_over(skews) / knee).clamp(0.0, 1.0);
+                worst_ratio = worst_ratio.max(r);
+            } else {
+                worst_ratio = 1.0;
+            }
+            if !v.simultaneous_window().contains_bound(skews) {
+                always_in_window = false;
             }
         }
         if worst_ratio < 1.0 {
@@ -614,7 +649,7 @@ fn composed_max(
             }
         }
     }
-    Ok((d, term))
+    (d, term)
 }
 
 fn clamp_range(cell: &CharacterizedGate, t: Bound) -> (Time, Time) {
