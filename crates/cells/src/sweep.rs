@@ -257,7 +257,22 @@ impl Characterizer {
     }
 
     /// Runs one unit sweep, inside a span named after the unit kind.
+    ///
+    /// The unit measures on a harness of its own. Its probes share
+    /// trajectory prefixes with each other, hardly ever with other units,
+    /// so the simulator's memos are freed with the unit and memory stays
+    /// bounded by the units in flight (DESIGN.md §10).
     pub(crate) fn run_unit(&self, unit: CharUnit) -> Result<UnitResult, CellError> {
+        let unit_char = Characterizer {
+            sim: self.sim.clone(),
+            name: self.name.clone(),
+            config: self.config.clone(),
+            ref_load: self.ref_load,
+        };
+        unit_char.sweep_unit(unit)
+    }
+
+    fn sweep_unit(&self, unit: CharUnit) -> Result<UnitResult, CellError> {
         Ok(match unit {
             CharUnit::Pin { out_edge, pos } => {
                 let _span = ssdm_obs::span("cells.unit.pin");

@@ -1,8 +1,10 @@
 //! High-level gate measurement: the API characterization and experiments
 //! drive.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ssdm_core::{Capacitance, Edge, Time, Transition};
 use ssdm_obs::Counter;
@@ -11,7 +13,7 @@ use crate::circuit::Circuit;
 use crate::error::SpiceError;
 use crate::gates::{build, GateKind};
 use crate::process::Process;
-use crate::transient::{SettleStop, Transient, TransientConfig};
+use crate::transient::{Run, SettleStop, Trajectory, Transient, TransientConfig};
 use crate::waveform::{InputWave, Trace};
 
 /// State of one gate input during a measurement.
@@ -64,13 +66,115 @@ pub struct Measured {
 /// output load's bit pattern.
 type SettleKey = (Vec<bool>, u64);
 
-/// Per-instance memo of DC operating points, plus the simulator's work
-/// counters. A clone starts empty, with counters of its own.
+/// Key of a memoized trajectory prefix (DESIGN.md §10).
+///
+/// A **quiet** prefix ends before the first ramp starts; it depends only
+/// on the operating point it starts from. A **lead** prefix ends before
+/// the second distinct ramp start; it also depends on `t0`'s bits and on
+/// the ramps that start first.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PrefixKey {
+    settle: SettleKey,
+    /// `t0`'s bits; `None` for a quiet prefix.
+    t0: Option<u64>,
+    /// The ramps that start first as `(pin, arrival bits, ttime bits)`
+    /// (their edges follow from the initial levels); empty for a quiet
+    /// prefix.
+    leading: Vec<(usize, u64, u64)>,
+}
+
+/// Most `f64`s of trajectory one harness keeps: 2 MiB, room for about 80
+/// prefixes of 2000 steps on a four-input gate, more than one
+/// characterization unit stores. A prefix that would not fit drops all
+/// the others.
+const PREFIX_BUDGET: usize = 1 << 18;
+
+/// Most lead keys remembered as measured once; the set is cleared when it
+/// fills up.
+const SEEN_CAP: usize = 1 << 12;
+
+/// A memoized prefix.
+#[derive(Debug)]
+struct Prefix {
+    steps: Arc<Trajectory>,
+    /// The step bound it was recorded under. Every run under the same key
+    /// that may replay further than this records a longer prefix.
+    bound: usize,
+}
+
+/// The bounded memo of trajectory prefixes.
+#[derive(Debug, Default)]
+struct Prefixes {
+    map: HashMap<PrefixKey, Prefix>,
+    /// `f64`s held in `map`; at most [`PREFIX_BUDGET`].
+    held: usize,
+    /// Hashes of lead keys measured once. A lead prefix is stored on its
+    /// key's second sighting only: most skew probes are never repeated.
+    seen: HashSet<u64>,
+}
+
+impl Prefixes {
+    /// The prefix under `key` and the bound it was recorded under.
+    fn get(&self, key: &PrefixKey) -> Option<(Arc<Trajectory>, usize)> {
+        let p = self.map.get(key)?;
+        Some((Arc::clone(&p.steps), p.bound))
+    }
+
+    /// Whether `key` was sighted before; remembers it either way.
+    fn sighted(&mut self, key: &PrefixKey) -> bool {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        if self.seen.len() >= SEEN_CAP {
+            self.seen.clear();
+        }
+        !self.seen.insert(h.finish())
+    }
+
+    /// Stores `steps` (recorded under `bound`) for `key` unless a prefix
+    /// recorded under a bound at least as large is already there, first
+    /// dropping every prefix if it would not fit in the budget.
+    fn insert(&mut self, key: PrefixKey, steps: Trajectory, bound: usize) {
+        let size = steps.size();
+        if size > PREFIX_BUDGET || self.map.get(&key).is_some_and(|p| p.bound >= bound) {
+            return;
+        }
+        if let Some(old) = self.map.remove(&key) {
+            self.held -= old.steps.size();
+        }
+        if self.held + size > PREFIX_BUDGET {
+            self.map.clear();
+            self.held = 0;
+        }
+        self.held += size;
+        self.map.insert(
+            key,
+            Prefix {
+                steps: Arc::new(steps),
+                bound,
+            },
+        );
+    }
+}
+
+/// What a run replays and what it records for later runs.
+struct PrefixPlan {
+    replay: Option<Arc<Trajectory>>,
+    /// Steps to replay from `replay`.
+    reuse: usize,
+    /// Prefixes to store after the run, with the step bound of each.
+    store: Vec<(PrefixKey, usize)>,
+}
+
+/// Per-instance memo of DC operating points and trajectory prefixes, plus
+/// the simulator's work counters. A clone starts empty, with counters of
+/// its own.
 #[derive(Debug)]
 struct SimCache {
     memo: Mutex<HashMap<SettleKey, Vec<f64>>>,
+    prefixes: Mutex<Prefixes>,
     transients: Counter,
     rk4_steps: Counter,
+    rk4_shared: Counter,
     settle_hits: Counter,
     settle_misses: Counter,
 }
@@ -79,8 +183,10 @@ impl SimCache {
     fn new() -> SimCache {
         SimCache {
             memo: Mutex::new(HashMap::new()),
+            prefixes: Mutex::new(Prefixes::default()),
             transients: ssdm_obs::counter("spice.transients"),
             rk4_steps: ssdm_obs::counter("spice.rk4_steps"),
+            rk4_shared: ssdm_obs::counter("spice.rk4_steps.shared"),
             settle_hits: ssdm_obs::counter("spice.settle.hit"),
             settle_misses: ssdm_obs::counter("spice.settle.miss"),
         }
@@ -90,6 +196,12 @@ impl SimCache {
     /// is a single insert of a complete state.
     fn memo(&self) -> MutexGuard<'_, HashMap<SettleKey, Vec<f64>>> {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The prefix memo. Recovering it from a poisoned lock is sound: no
+    /// update panics between changing `map` and `held`.
+    fn prefixes(&self) -> MutexGuard<'_, Prefixes> {
+        self.prefixes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -124,8 +236,10 @@ fn window(transitions: &[Transition], load: Capacitance) -> (Time, Time) {
 ///
 /// The harness remembers the DC operating point of every (initial input
 /// levels, load) it has measured, so repeated measurements skip the
-/// settle run. The memo is private to the instance: a new harness (or a
-/// clone) starts cold, and [`GateSim::with_config`] clears it.
+/// settle run, and a bounded set of trajectory prefixes, so a run that
+/// begins exactly like an earlier one replays those steps instead of
+/// integrating them. The memos are private to the instance: a new harness
+/// (or a clone) starts cold, and [`GateSim::with_config`] clears them.
 ///
 /// # Example
 ///
@@ -255,7 +369,8 @@ impl GateSim {
     }
 
     /// Overrides the transient configuration (step size, settle time)
-    /// and drops the memoized operating points, which depend on it.
+    /// and drops the memoized operating points and prefixes, which depend
+    /// on it.
     pub fn with_config(mut self, config: TransientConfig) -> GateSim {
         self.config = config;
         self.cache = SimCache::new();
@@ -325,16 +440,40 @@ impl GateSim {
             load.as_ff(),
             self.config,
         )?;
-        let (state, settle_steps) = self.settled_state(&transient, initial, load, t0)?;
+        let settle_key = (initial, load.as_ff().to_bits());
+        let (state, settle_steps) = self.settled_state(&transient, settle_key.clone(), t0)?;
         let vdd = self.process.vdd.as_volts();
         let stop = SettleStop {
             after: latest_end,
             rail: if out1 { vdd } else { 0.0 },
             tol: 0.01 * vdd,
         };
-        let (trace, steps) = transient.integrate(state, t0, t1, Some(stop))?;
+        let plan = self.prefix_plan(&transient, pins, settle_key, t0);
+        let replay = plan.replay.as_deref().map(|p| (p, plan.reuse));
+        let keep = plan
+            .store
+            .iter()
+            .map(|&(_, bound)| bound)
+            .max()
+            .unwrap_or(0);
+        let n_state = state.len();
+        let Run {
+            trace,
+            steps,
+            replayed,
+            kept,
+        } = transient.integrate(state, t0, t1, Some(stop), replay, keep)?;
+        if !plan.store.is_empty() {
+            let mut memo = self.cache.prefixes();
+            for (key, bound) in plan.store {
+                memo.insert(key, kept.prefix(bound, n_state), bound);
+            }
+        }
         self.cache.transients.incr();
-        self.cache.rk4_steps.add((settle_steps + steps) as u64);
+        self.cache
+            .rk4_steps
+            .add((settle_steps + steps - replayed) as u64);
+        self.cache.rk4_shared.add(replayed as u64);
 
         let arrival = trace.last_crossing(0.5 * vdd, out_edge)?;
         let ttime = trace.transition_time(0.1 * vdd, 0.9 * vdd, out_edge)?;
@@ -357,11 +496,9 @@ impl GateSim {
     fn settled_state(
         &self,
         transient: &Transient<'_>,
-        initial: Vec<bool>,
-        load: Capacitance,
+        key: SettleKey,
         t0: Time,
     ) -> Result<(Vec<f64>, usize), SpiceError> {
-        let key = (initial, load.as_ff().to_bits());
         if let Some(state) = self.cache.memo().get(&key) {
             self.cache.settle_hits.incr();
             return Ok((state.clone(), 0));
@@ -370,6 +507,89 @@ impl GateSim {
         self.cache.settle_misses.incr();
         self.cache.memo().insert(key, state.clone());
         Ok((state, transient.settle_steps()))
+    }
+
+    /// Which memoized prefix the run of `transient` under `pins` from the
+    /// operating point `settle` at `t0` replays, and which prefixes it
+    /// records.
+    ///
+    /// Both keys are exact (DESIGN.md §10). Up to the first ramp start the
+    /// inputs sit on their initial rails with zero slope, and `integrate`
+    /// derives each step's time from its index, so the quiet prefix is the
+    /// same for every `t0`. Up to the second distinct ramp start the run
+    /// also sees the ramps that start first, at times fixed by `t0`.
+    fn prefix_plan(
+        &self,
+        transient: &Transient<'_>,
+        pins: &[PinState],
+        settle: SettleKey,
+        t0: Time,
+    ) -> PrefixPlan {
+        let ramps: Vec<(usize, Transition)> = pins
+            .iter()
+            .enumerate()
+            .filter_map(|(p, pin)| pin.transition().map(|tr| (p, tr)))
+            .collect();
+        let first = ramps
+            .iter()
+            .map(|(_, tr)| tr.start())
+            .fold(Time::INFINITY, Time::min);
+        let second = ramps
+            .iter()
+            .map(|(_, tr)| tr.start())
+            .filter(|&s| s > first)
+            .fold(Time::INFINITY, Time::min);
+        let leading = ramps
+            .iter()
+            .filter(|(_, tr)| tr.start() == first)
+            .map(|&(p, tr)| (p, tr.arrival.as_ns().to_bits(), tr.ttime.as_ns().to_bits()))
+            .collect();
+        let quiet = PrefixKey {
+            settle: settle.clone(),
+            t0: None,
+            leading: Vec::new(),
+        };
+        let lead = PrefixKey {
+            settle,
+            t0: Some(t0.as_ns().to_bits()),
+            leading,
+        };
+        let quiet_bound = transient.steps_before(t0, first);
+        // With every ramp starting together the lead prefix is the whole
+        // run: only an identical stimulus shares it.
+        let lead_bound = if second.is_finite() {
+            transient.steps_before(t0, second)
+        } else {
+            usize::MAX
+        };
+
+        let mut memo = self.cache.prefixes();
+        let mut plan = PrefixPlan {
+            replay: None,
+            reuse: 0,
+            store: Vec::new(),
+        };
+        let mut recorded = [0; 2];
+        for (i, (key, bound)) in [(&quiet, quiet_bound), (&lead, lead_bound)]
+            .into_iter()
+            .enumerate()
+        {
+            if let Some((steps, rec)) = memo.get(key) {
+                recorded[i] = rec;
+                let reuse = steps.replayable(bound);
+                if reuse > plan.reuse {
+                    plan.replay = Some(steps);
+                    plan.reuse = reuse;
+                }
+            }
+        }
+        if recorded[0] < quiet_bound {
+            plan.store.push((quiet, quiet_bound));
+        }
+        if memo.sighted(&lead) && recorded[1] < lead_bound {
+            plan.store.push((lead, lead_bound));
+        }
+        plan
     }
 
     /// Pin-to-pin measurement: a single transition on `pin` with all other
@@ -660,7 +880,7 @@ mod tests {
             Transient::new(&sim.circuit, &sim.process, waves, load.as_ff(), sim.config).unwrap();
         let fresh = transient.dc_settle(t0).unwrap();
         let (cached, steps) = sim
-            .settled_state(&transient, vec![true, true], load, t0)
+            .settled_state(&transient, (vec![true, true], load.as_ff().to_bits()), t0)
             .unwrap();
         assert_eq!(steps, 0, "expected a cache hit");
         assert_eq!(sim.cache.settle_hits.get(), 1);
@@ -683,5 +903,224 @@ mod tests {
             .unwrap();
         assert_eq!(sim.cache.memo().len(), 1);
         assert_eq!(sim.clone().cache.memo().len(), 0);
+    }
+
+    /// A fresh harness like `sim`: no memoized settles or prefixes.
+    fn fresh(sim: &GateSim) -> GateSim {
+        GateSim::new(sim.kind, sim.n, sim.wn_um, sim.wp_um, sim.process.clone()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Probes that share `t0` (a leading ramp on one of two pins always
+        /// starts at exactly 1.5 ns, with one of two arrivals and
+        /// transition times), with mixed skews, transition times and loads
+        /// and some exact repeats, measured in random order through one
+        /// harness: every result equals a fresh harness's and the full
+        /// window's bit for bit, however much of it was replayed.
+        #[test]
+        fn replayed_prefixes_match_fresh_runs_and_the_full_window(
+            gate in 0usize..3,
+            rise in 0u8..2,
+            alt_lead in 0usize..2,
+            loads in prop::collection::vec(1.0..3.0f64, 2..3),
+            picks in prop::collection::vec(0usize..4, 8..9),
+            masks in prop::collection::vec(0usize..8, 8..9),
+            skews in prop::collection::vec(-2.0..3.5f64, 24..25),
+            snap in prop::collection::vec(0usize..2, 24..25),
+            tts in prop::collection::vec(0.1..2.0f64, 24..25),
+            order in prop::collection::vec(0u64..1 << 32, 12..13),
+        ) {
+            // (arrival, ttime) pairs whose ramps all start at exactly 1.5 ns,
+            // so `t0` is 1 ns whichever leads.
+            const LEADS: [(f64, f64); 3] = [(2.0, 0.8), (1.75, 0.4), (2.5, 1.6)];
+            let dt = TransientConfig::default().dt.as_ns();
+            let sim = match gate {
+                0 => GateSim::inv(),
+                1 => GateSim::nand(2),
+                _ => GateSim::nor(3),
+            };
+            let n = sim.n_inputs();
+            let edge = if rise == 1 { Edge::Rise } else { Edge::Fall };
+            let noncontrolling = !sim.kind().controlling_value();
+            let probe = |k: usize| -> (Vec<PinState>, Capacitance) {
+                // Pin 0 or the last pin leads.
+                let (leader, lead) = match picks[k] & 1 {
+                    0 => (0, LEADS[0]),
+                    _ => (n - 1, LEADS[1 + alt_lead]),
+                };
+                let pins = (0..n)
+                    .map(|p| {
+                        let i = 3 * k + p;
+                        let (at, tt) = if p == leader {
+                            lead
+                        } else if masks[k] & (1 << p) != 0 {
+                            // Half the later ramps start half a step into
+                            // the last step before a replay checkpoint:
+                            // the latest start a replay must stop short of.
+                            let at = if snap[i] == 1 && skews[i] > 0.0 {
+                                let j = 32 + (skews[i] / (8.0 * dt)) as usize;
+                                1.0 + (8 * j) as f64 * dt + 7.5 * dt + tts[i] / 1.6
+                            } else {
+                                2.0 + skews[i]
+                            };
+                            (at, tts[i])
+                        } else {
+                            return PinState::Steady(noncontrolling);
+                        };
+                        PinState::Switch(Transition::new(edge, Time::from_ns(at), Time::from_ns(tt)))
+                    })
+                    .collect();
+                let load = sim.inverter_load().as_ff() * loads[picks[k] >> 1];
+                (pins, Capacitance::from_ff(load))
+            };
+            // Eight probes and four exact repeats, in random order.
+            let mut keyed: Vec<(u64, usize)> = order.iter().copied().zip((0..12).map(|i| i % 8)).collect();
+            keyed.sort_unstable();
+            for (_, k) in keyed {
+                let (pins, load) = probe(k);
+                let m = sim.measure(&pins, load).expect("measure succeeds");
+                let f = fresh(&sim).measure(&pins, load).expect("fresh measure succeeds");
+                let (full, arrival, ttime) =
+                    full_window(&sim, &pins, load, edge.inverted()).expect("full window measures");
+                let earliest = pins
+                    .iter()
+                    .filter_map(|p| p.transition())
+                    .map(|t| t.arrival)
+                    .fold(Time::INFINITY, Time::min);
+                for (a, t, d) in [(f.arrival, f.ttime, f.delay), (arrival, ttime, arrival - earliest)] {
+                    prop_assert_eq!(m.arrival.as_ns().to_bits(), a.as_ns().to_bits());
+                    prop_assert_eq!(m.ttime.as_ns().to_bits(), t.as_ns().to_bits());
+                    prop_assert_eq!(m.delay.as_ns().to_bits(), d.as_ns().to_bits());
+                }
+                prop_assert_eq!(bits(m.trace.times_ns()), bits(f.trace.times_ns()));
+                prop_assert_eq!(bits(m.trace.volts()), bits(f.trace.volts()));
+                let k = m.trace.len();
+                prop_assert!(k <= full.len());
+                prop_assert_eq!(bits(m.trace.times_ns()), bits(&full.times_ns()[..k]));
+                prop_assert_eq!(bits(m.trace.volts()), bits(&full.volts()[..k]));
+            }
+            prop_assert!(sim.cache.rk4_shared.get() > 0, "nothing was replayed");
+        }
+    }
+
+    /// Computed plus replayed steps: a fixed probe sequence through one
+    /// harness takes exactly as many integration steps as the same probes
+    /// on fresh harnesses, which replay nothing.
+    #[test]
+    fn replayed_and_computed_steps_add_up_to_the_steps_without_replay() {
+        let sim = GateSim::nand(2);
+        let load = sim.inverter_load();
+        let settle_steps = |s: &GateSim| s.cache.settle_misses.get() * 1000;
+        let mut without_replay = 0;
+        for skew in [0.0, 0.0, 1.75, 0.9, 2.6, -0.4, 3.5, 1.75] {
+            let pins = [fall(2.0, 0.7), fall(2.0 + skew, 0.3)];
+            sim.measure(&pins, load).unwrap();
+            let f = fresh(&sim);
+            f.measure(&pins, load).unwrap();
+            assert_eq!(f.cache.rk4_shared.get(), 0);
+            without_replay += f.cache.rk4_steps.get() - settle_steps(&f);
+        }
+        let shared = sim.cache.rk4_shared.get();
+        assert!(shared > 0, "nothing was replayed");
+        assert_eq!(
+            sim.cache.rk4_steps.get() - settle_steps(&sim) + shared,
+            without_replay
+        );
+    }
+
+    /// The hardest spot for replay: the second ramp starts half a step
+    /// into the last step before a checkpoint, so the exact bound is one
+    /// step short of the checkpoint and replay must stop one checkpoint
+    /// earlier.
+    #[test]
+    fn replay_stops_short_of_a_ramp_starting_just_before_a_checkpoint() {
+        let sim = GateSim::nand(2);
+        let load = sim.inverter_load();
+        let dt = sim.config.dt.as_ns();
+        // X starts at 1.5 ns, so t0 = 1 ns; Y starts at t0 + (8j + 7.5)·dt.
+        let probe = |j: usize| {
+            let y_start = 1.0 + (8 * j) as f64 * dt + 7.5 * dt;
+            [fall(2.0, 0.8), fall(y_start + 0.3 / 1.6, 0.3)]
+        };
+        // Twice, so the X-only lead prefix up to Y's far start is stored.
+        for _ in 0..2 {
+            sim.measure(&probe(400), load).unwrap();
+        }
+        let pins = probe(200);
+        let before = sim.cache.rk4_shared.get();
+        let m = sim.measure(&pins, load).unwrap();
+        assert_eq!(sim.cache.rk4_shared.get() - before, 8 * 200, "replayed");
+        let f = fresh(&sim).measure(&pins, load).unwrap();
+        assert_eq!(bits(m.trace.volts()), bits(f.trace.volts()));
+        assert_eq!(m.arrival.as_ns().to_bits(), f.arrival.as_ns().to_bits());
+        assert_eq!(m.ttime.as_ns().to_bits(), f.ttime.as_ns().to_bits());
+    }
+
+    #[test]
+    fn clones_and_new_configs_start_with_no_prefixes() {
+        let sim = GateSim::nand(2);
+        let load = sim.inverter_load();
+        for _ in 0..2 {
+            sim.measure(&[fall(2.0, 0.7), fall(3.0, 0.3)], load)
+                .unwrap();
+        }
+        assert_eq!(sim.cache.prefixes().map.len(), 2, "quiet and lead");
+        assert!(sim.cache.rk4_shared.get() > 0);
+        let clone = sim.clone();
+        assert!(clone.cache.prefixes().map.is_empty());
+        assert_eq!(clone.cache.prefixes().held, 0);
+        assert_eq!(clone.cache.rk4_shared.get(), 0);
+        let sim = sim.with_config(TransientConfig::default());
+        assert!(sim.cache.prefixes().map.is_empty());
+        assert!(sim.cache.prefixes().seen.is_empty());
+    }
+
+    #[test]
+    fn distinct_keys_stay_inside_the_memory_bound() {
+        let mut memo = Prefixes::default();
+        let steps = 2000;
+        let trajectory = Trajectory {
+            out: vec![0.5; steps],
+            marks: vec![0.5; steps / crate::transient::CHECKPOINT * 4],
+        };
+        for i in 0..1000u64 {
+            let key = PrefixKey {
+                settle: (vec![true, false], i),
+                t0: Some(i),
+                leading: vec![(0, i, i)],
+            };
+            memo.sighted(&key);
+            memo.insert(key, trajectory.clone(), steps);
+            assert!(memo.held <= PREFIX_BUDGET);
+            assert!(memo.seen.len() <= SEEN_CAP);
+            assert_eq!(
+                memo.held,
+                memo.map.values().map(|p| p.steps.size()).sum::<usize>()
+            );
+        }
+        // The newest prefix is always kept.
+        let newest = PrefixKey {
+            settle: (vec![true, false], 999),
+            t0: Some(999),
+            leading: vec![(0, 999, 999)],
+        };
+        assert!(memo.get(&newest).is_some());
+        // A prefix larger than the whole budget is never stored.
+        let huge = Trajectory {
+            out: vec![0.5; PREFIX_BUDGET + 1],
+            marks: Vec::new(),
+        };
+        memo.insert(newest.clone(), huge, usize::MAX);
+        assert!(memo.held <= PREFIX_BUDGET);
+        for i in 0..2 * SEEN_CAP as u64 {
+            memo.sighted(&PrefixKey {
+                settle: (vec![false], i),
+                t0: None,
+                leading: Vec::new(),
+            });
+            assert!(memo.seen.len() <= SEEN_CAP);
+        }
     }
 }

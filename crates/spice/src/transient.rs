@@ -7,9 +7,11 @@
 //! configurations.
 //!
 //! [`Transient::run`] always integrates the whole window.
-//! [`crate::GateSim::measure`] starts from a memoized DC operating point
-//! and ends the run once the output has settled on its final rail; both
-//! shortcuts leave every measured crossing bit-identical (DESIGN.md §10).
+//! [`crate::GateSim::measure`] starts from a memoized DC operating point,
+//! replays the steps an earlier run of the same harness provably took
+//! already, and ends the run once the output has settled on its final
+//! rail; these shortcuts leave every measured crossing bit-identical
+//! (DESIGN.md §10).
 
 use ssdm_core::Time;
 
@@ -61,6 +63,62 @@ pub(crate) struct SettleStop {
     pub rail: f64,
     /// How close to `rail` counts as settled (V).
     pub tol: f64,
+}
+
+/// Every how many steps a [`Trajectory`] keeps the whole state.
+pub(crate) const CHECKPOINT: usize = 8;
+
+/// The first steps of a run, kept so that a later run that provably takes
+/// the same steps can replay them: the output voltage after every step and
+/// the whole state after every [`CHECKPOINT`]-th one. Replay needs no
+/// more: the trace and the settle check read only the output, and a replay
+/// ends on a checkpoint, where integration resumes from the whole state.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Trajectory {
+    /// The output node's voltage after steps `1..=len`.
+    pub out: Vec<f64>,
+    /// The state after steps `CHECKPOINT, 2·CHECKPOINT, …`, flattened.
+    pub marks: Vec<f64>,
+}
+
+impl Trajectory {
+    /// Steps held.
+    pub fn len(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Number of `f64`s held.
+    pub fn size(&self) -> usize {
+        self.out.len() + self.marks.len()
+    }
+
+    /// How many of its steps a run may replay when at most `max` of them
+    /// are exact for it: a whole number of checkpoints.
+    pub fn replayable(&self, max: usize) -> usize {
+        let k = self.len().min(max);
+        k - k % CHECKPOINT
+    }
+
+    /// Its first `steps` steps (all of them if it holds fewer).
+    pub fn prefix(&self, steps: usize, n_state: usize) -> Trajectory {
+        let steps = steps.min(self.len());
+        Trajectory {
+            out: self.out[..steps].to_vec(),
+            marks: self.marks[..steps / CHECKPOINT * n_state].to_vec(),
+        }
+    }
+}
+
+/// The outcome of [`Transient::integrate`].
+pub(crate) struct Run {
+    /// The recorded output trace.
+    pub trace: Trace,
+    /// Steps taken, replayed ones included.
+    pub steps: usize,
+    /// Steps copied from the replayed trajectory instead of integrated.
+    pub replayed: usize,
+    /// The first `keep` steps (or all of them, if the run ended sooner).
+    pub kept: Trajectory,
 }
 
 /// Working vectors of one run, allocated once and reused by every RK4
@@ -143,44 +201,110 @@ impl<'a> Transient<'a> {
     /// non-finite.
     pub fn run(&self, t0: Time, t1: Time) -> Result<Trace, SpiceError> {
         let state = self.dc_settle(t0)?;
-        Ok(self.integrate(state, t0, t1, None)?.0)
+        Ok(self.integrate(state, t0, t1, None, None, 0)?.trace)
     }
 
     /// Integrates from the initial `state` at `t0` towards `t1`, recording
     /// every `record_stride`-th step and the last one. With a `stop`, the
-    /// run ends at the first recorded step that satisfies it. Returns the
-    /// trace and the number of RK4 steps taken.
+    /// run ends at the first recorded step that satisfies it.
+    ///
+    /// With `replay = Some((prefix, reuse))`, `prefix` is the start of an
+    /// earlier run from the same `state` and `t0`, and its first `reuse`
+    /// steps (a multiple of [`CHECKPOINT`]) are copied from it instead of
+    /// integrated: the output voltage at every step, the whole state at
+    /// each checkpoint. The finite, record and settle checks run on them
+    /// as on integrated steps. The caller guarantees that the earlier run
+    /// computed those steps bit for bit as this one would (see
+    /// [`Transient::steps_before`]). The first `keep` steps are returned
+    /// in [`Run::kept`].
     pub(crate) fn integrate(
         &self,
         mut state: Vec<f64>,
         t0: Time,
         t1: Time,
         stop: Option<SettleStop>,
-    ) -> Result<(Trace, usize), SpiceError> {
-        let mut scratch = Scratch::new(state.len(), self.inputs.len());
+        replay: Option<(&Trajectory, usize)>,
+        keep: usize,
+    ) -> Result<Run, SpiceError> {
+        let n = state.len();
+        let mut scratch = Scratch::new(n, self.inputs.len());
         let mut trace = Trace::with_capacity(1024);
         let dt = self.config.dt.as_ns();
         let t0n = t0.as_ns();
         let t1n = t1.as_ns();
         let steps = ((t1n - t0n) / dt).ceil() as usize;
+        let empty = Trajectory::default();
+        let (prefix, reuse) = replay.map_or((&empty, 0), |(p, r)| (p, r.min(steps)));
+        debug_assert!(reuse % CHECKPOINT == 0 || reuse == steps);
+        let mut kept = Trajectory {
+            out: Vec::with_capacity(keep.min(steps)),
+            marks: Vec::with_capacity(keep.min(steps) / CHECKPOINT * n),
+        };
         trace.push(t0, state[0]);
         let mut t = t0n;
         for step in 1..=steps {
-            self.rk4_step(&mut state, t, dt, false, &mut scratch);
+            if step > reuse {
+                self.rk4_step(&mut state, t, dt, false, &mut scratch);
+            } else if step % CHECKPOINT == 0 {
+                let mark = step / CHECKPOINT - 1;
+                state.copy_from_slice(&prefix.marks[mark * n..(mark + 1) * n]);
+            } else {
+                state[0] = prefix.out[step - 1];
+            }
             t = t0n + step as f64 * dt;
             if !state.iter().all(|v| v.is_finite()) {
                 return Err(SpiceError::Diverged { at_ns: t });
+            }
+            if step <= keep {
+                kept.out.push(state[0]);
+                if step % CHECKPOINT == 0 {
+                    kept.marks.extend_from_slice(&state);
+                }
             }
             if step % self.config.record_stride == 0 || step == steps {
                 trace.push(Time::from_ns(t), state[0]);
                 if let Some(s) = stop {
                     if t >= s.after.as_ns() && (state[0] - s.rail).abs() <= s.tol {
-                        return Ok((trace, step));
+                        return Ok(Run {
+                            trace,
+                            steps: step,
+                            replayed: reuse.min(step),
+                            kept,
+                        });
                     }
                 }
             }
         }
-        Ok((trace, steps))
+        Ok(Run {
+            trace,
+            steps,
+            replayed: reuse,
+            kept,
+        })
+    }
+
+    /// Number of leading [`Transient::integrate`] steps from `t0` whose
+    /// every RK4 stage time (`t`, `t + dt/2`, `t + dt`, computed exactly
+    /// as the loop computes them) lies at or before `until`.
+    ///
+    /// When `until` is the start of a ramp, those steps see that input
+    /// exactly on its initial rail with slope exactly 0, so they do not
+    /// depend on the ramp at all.
+    pub(crate) fn steps_before(&self, t0: Time, until: Time) -> usize {
+        let dt = self.config.dt.as_ns();
+        let (t0n, until) = (t0.as_ns(), until.as_ns());
+        // Step `k` starts at `t0 + (k − 1)·dt`; its last stage is the
+        // latest. The predicate is monotone in `k`, so walk from an
+        // estimate to the exact boundary.
+        let safe = |k: usize| k == 0 || (t0n + (k - 1) as f64 * dt) + dt <= until;
+        let mut k = ((until - t0n) / dt).max(0.0) as usize;
+        while !safe(k) {
+            k -= 1;
+        }
+        while safe(k + 1) {
+            k += 1;
+        }
+        k
     }
 
     /// Number of coarse RK4 steps [`Transient::dc_settle`] takes.
