@@ -48,6 +48,19 @@ pub struct PairTiming {
     pub sk_t_min: Quad2,
 }
 
+/// One input's clamped transition-time corner with what every pair
+/// V-shape through it needs: the corner's cube root and the
+/// to-controlling pin delay at one load. Built by
+/// [`CharacterizedGate::pin_corner`]; the default value (position 0 at a
+/// zero transition time) only fills fixed-capacity arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PinCorner {
+    position: usize,
+    t: Time,
+    cbrt: f64,
+    delay: Time,
+}
+
 /// A fully characterized gate.
 ///
 /// Indexing conventions: output edges use [`Edge::index`]; input positions
@@ -381,6 +394,63 @@ impl CharacterizedGate {
         Ok(if mirrored { v.mirrored() } else { v })
     }
 
+    /// Prepares input `position`'s transition-time corner `t_in` for
+    /// [`CharacterizedGate::vshape_delay_at`]: the clamped corner, its cube
+    /// root and the to-controlling pin delay there at `load`. A gate
+    /// evaluation builds each corner once and shares it between every
+    /// pair V-shape that uses it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CellError::BadPin`] for an out-of-range position.
+    pub fn pin_corner(
+        &self,
+        position: usize,
+        t_in: Time,
+        load: Capacitance,
+    ) -> Result<PinCorner, CellError> {
+        let t = self.clamp_t(t_in);
+        Ok(PinCorner {
+            position,
+            t,
+            cbrt: t.as_ns().cbrt(),
+            delay: self.pin_delay(self.ctrl_out_edge(), position, t, load)?,
+        })
+    }
+
+    /// [`CharacterizedGate::vshape_delay`] for the corners `a` and `b`,
+    /// both prepared by [`CharacterizedGate::pin_corner`] at `load`.
+    /// Bit-identical to `vshape_delay(a.position, b.position, t_a, t_b,
+    /// load)`: it applies the same expressions to the same operands, since
+    /// clamping is idempotent and the cube root deterministic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CellError::BadPin`] when the pair was not characterized.
+    pub fn vshape_delay_at(
+        &self,
+        a: &PinCorner,
+        b: &PinCorner,
+        load: Capacitance,
+    ) -> Result<VShape, CellError> {
+        let pair = self.pair(a.position, b.position).ok_or(CellError::BadPin {
+            pin: a.position.max(b.position),
+            n: self.n,
+        })?;
+        let mirrored = a.position > b.position;
+        let (ci, cj) = if mirrored { (b, a) } else { (a, b) };
+        let pins = &self.pins[self.ctrl_out_edge().index()];
+        let dload = Time::from_ns(
+            0.5 * (pins[pair.i].delay_load_slope + pins[pair.j].delay_load_slope)
+                * (load.as_ff() - self.ref_load_ff),
+        );
+        let d0 = pair.d0.eval_cbrt(ci.cbrt, cj.cbrt) + dload;
+        let sr = pair.sr.eval(ci.t, cj.t).max(Time::ZERO);
+        let syr = pair.syr.eval(ci.t, cj.t).min(Time::ZERO);
+        let v = make_vshape((syr, cj.delay), (Time::ZERO, d0), (sr, ci.delay))?;
+        Ok(if mirrored { v.mirrored() } else { v })
+    }
+
     /// The output-transition-time V-shape for the same pair: vertex at
     /// `(SK_{t,min}, t0)` (possibly non-zero skew), knees at the pin
     /// transition times.
@@ -434,7 +504,8 @@ impl CharacterizedGate {
                 let pair = self
                     .pair(0, 1)
                     .ok_or(CellError::BadPin { pin: 1, n: self.n })?;
-                Ok(pair.d0.eval(tc, tc))
+                let x = tc.as_ns().cbrt();
+                Ok(pair.d0.eval_cbrt(x, x))
             }
             k if k >= 3 && k <= self.n => self
                 .kway
@@ -670,6 +741,56 @@ pub(crate) mod tests {
         assert_eq!(g.t_range(), (ns(0.1), ns(2.0)));
         assert_eq!(g.pairs().len(), 1);
         assert!(g.pair(1, 0).is_some(), "order-normalized lookup");
+    }
+
+    /// The pinned fast-grid library (parsed, not characterized).
+    fn pinned_library() -> &'static crate::CellLibrary {
+        static LIB: std::sync::OnceLock<crate::CellLibrary> = std::sync::OnceLock::new();
+        LIB.get_or_init(|| {
+            crate::CellLibrary::from_text(include_str!("../../../perfbench/data/library-fast.txt"))
+                .expect("pinned library parses")
+        })
+    }
+
+    fn shape_bits(v: &VShape) -> [u64; 6] {
+        let [(a, b), (c, d), (e, f)] = [v.left_knee(), v.vertex(), v.right_knee()];
+        [a, b, c, d, e, f].map(|t| t.as_ns().to_bits())
+    }
+
+    proptest::proptest! {
+        /// Corners outside `t_range` exercise the clamp before the cube
+        /// root; loads away from `ref_load` exercise the load terms.
+        #[test]
+        fn vshape_delay_at_is_bit_identical(
+            cell in 0usize..6,
+            i in 0usize..4,
+            offset in 0usize..3,
+            t_a in 0.0f64..2.5,
+            t_b in 0.0f64..2.5,
+            load in 1.0f64..40.0,
+        ) {
+            let name = ["NAND2", "NAND3", "NAND4", "NOR2", "NOR3", "NOR4"][cell];
+            let g = pinned_library().get(name).expect("standard cell");
+            let n = g.n_inputs();
+            let (i, j) = (i % n, (i % n + 1 + offset % (n - 1)) % n);
+            let (t_a, t_b, load) = (ns(t_a), ns(t_b), Capacitance::from_ff(load));
+            let a = g.pin_corner(i, t_a, load).unwrap();
+            let b = g.pin_corner(j, t_b, load).unwrap();
+            let want = g.vshape_delay(i, j, t_a, t_b, load).unwrap();
+            let got = g.vshape_delay_at(&a, &b, load).unwrap();
+            proptest::prop_assert_eq!(shape_bits(&got), shape_bits(&want), "{} ({}, {})", name, i, j);
+        }
+
+        /// The two-way floor takes its one cube root once.
+        #[test]
+        fn kway_floor_is_the_d0_diagonal(cell in 0usize..6, t in 0.0f64..2.5) {
+            let name = ["NAND2", "NAND3", "NAND4", "NOR2", "NOR3", "NOR4"][cell];
+            let g = pinned_library().get(name).expect("standard cell");
+            let tc = g.clamp_t(ns(t));
+            let want = g.pair(0, 1).unwrap().d0.eval(tc, tc);
+            let got = g.kway_floor(2, ns(t)).unwrap();
+            proptest::prop_assert_eq!(got.as_ns().to_bits(), want.as_ns().to_bits(), "{}", name);
+        }
     }
 
     #[test]

@@ -131,8 +131,12 @@ impl D0Surface {
 
     /// Evaluates at `(t_x, t_y)`.
     pub fn eval(&self, tx: Time, ty: Time) -> Time {
-        let x = tx.as_ns().cbrt();
-        let y = ty.as_ns().cbrt();
+        self.eval_cbrt(tx.as_ns().cbrt(), ty.as_ns().cbrt())
+    }
+
+    /// Evaluates at precomputed cube roots `x = T_X^⅓`, `y = T_Y^⅓` (ns):
+    /// the exact expression [`D0Surface::eval`] applies after taking them.
+    pub fn eval_cbrt(&self, x: f64, y: f64) -> Time {
         Time::from_ns(self.k[0] * x * y + self.k[1] * x + self.k[2] * y + self.k[3])
     }
 

@@ -39,7 +39,7 @@ pub mod library;
 pub mod lsq;
 pub mod sweep;
 
-pub use cell::{CharacterizedGate, PairTiming, PinTiming};
+pub use cell::{CharacterizedGate, PairTiming, PinCorner, PinTiming};
 pub use error::CellError;
 pub use fit::{D0Surface, Poly1, Quad2};
 pub use library::CellLibrary;

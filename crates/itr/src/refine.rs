@@ -7,9 +7,10 @@
 //!   [`IncrementalSta`] engine, which recomputes only the dirty cone of
 //!   nets whose participation changed since the previous call (plus
 //!   memoizes repeated per-gate states across backtracks).
-//! * [`Itr::refine_full`] — a straight-line full recompute with no state
-//!   reuse. This is the oracle the incremental path is tested against:
-//!   results must be **bit-identical**.
+//! * [`Itr::refine_full`] — a memo-free full pass through the same gate
+//!   kernel ([`GateTable::pass`]), with no state reuse. This is the
+//!   oracle the incremental path's dirty cone, memo and early cutoff are
+//!   tested against: results must be **bit-identical**.
 //!
 //! Both paths run logic implication first, so a single call sees the full
 //! transitive consequences of the caller's assignments.
@@ -20,10 +21,10 @@ use std::sync::Arc;
 use ssdm_cells::CellLibrary;
 use ssdm_core::{Bound, Edge, Time};
 use ssdm_logic::{imply, Assignments, TransState};
-use ssdm_netlist::{Circuit, GateType, NetId};
+use ssdm_netlist::{Circuit, NetId};
 use ssdm_sta::{
-    stage_plan, stage_windows, DelaysUsed, IncrementalSta, IncrementalStats, LineTiming,
-    Participation, ParticipationMap, PinWindow, SharedTiming, Sta, StaConfig, TimingView,
+    DelaysUsed, GateTable, IncrementalSta, IncrementalStats, LineTiming, Participation,
+    ParticipationMap, SharedTiming, StaConfig, TimingView,
 };
 
 use crate::error::ItrError;
@@ -72,6 +73,21 @@ impl TimingView for ItrResult {
 
     fn gate_inverting(&self, net: NetId) -> bool {
         self.inverting[net.index()]
+    }
+}
+
+impl From<SharedTiming> for ItrResult {
+    fn from(shared: SharedTiming) -> ItrResult {
+        let SharedTiming {
+            lines,
+            used,
+            inverting,
+        } = shared;
+        ItrResult {
+            lines,
+            used,
+            inverting,
+        }
     }
 }
 
@@ -172,16 +188,7 @@ impl<'a> Itr<'a> {
         let engine = slot.as_mut().expect("engine initialized above");
         engine.refine(&part)?;
         let _span = ssdm_obs::span("itr.copy");
-        let SharedTiming {
-            lines,
-            used,
-            inverting,
-        } = engine.share();
-        Ok(ItrResult {
-            lines,
-            used,
-            inverting,
-        })
+        Ok(engine.share().into())
     }
 
     /// Counters accumulated over this refiner's whole lifetime: the live
@@ -225,88 +232,10 @@ impl<'a> Itr<'a> {
     pub fn refine_full(&self, assignments: &mut Assignments) -> Result<ItrResult, ItrError> {
         let _span = ssdm_obs::span("itr.refine_full");
         imply(self.circuit, assignments)?;
-        let sta = Sta::new(self.circuit, self.library, self.config.clone());
-        let loads = sta.net_loads()?;
-        let n = self.circuit.n_nets();
-        let mut lines = vec![LineTiming::default(); n];
-        let mut used: Vec<DelaysUsed> = vec![Vec::new(); n];
-        let mut inverting = vec![true; n];
-        for id in self.circuit.topo() {
-            let gate = self.circuit.gate(id);
-            if gate.gtype == GateType::Input {
-                let mut lt = LineTiming::symmetric(self.config.pi_arrival, self.config.pi_ttime);
-                self.apply_state_veto(assignments, id, &mut lt);
-                lines[id.index()] = lt;
-                continue;
-            }
-            let plan = stage_plan(gate.gtype, gate.fanin.len(), &gate.name)?;
-            let pins: Vec<PinWindow> = gate
-                .fanin
-                .iter()
-                .map(|&f| PinWindow {
-                    timing: lines[f.index()],
-                    participation: [
-                        participation(assignments.state(f, Edge::Rise)),
-                        participation(assignments.state(f, Edge::Fall)),
-                    ],
-                })
-                .collect();
-            let cell1 = self.library.require(&plan.first)?;
-            let (mut lt, total_used) = match &plan.second {
-                None => stage_windows(cell1, self.config.model, &pins, loads[id.index()])?,
-                Some(second) => {
-                    let cell2 = self.library.require(second)?;
-                    let (mut mid, used1) =
-                        stage_windows(cell1, self.config.model, &pins, cell2.input_cap())?;
-                    // The internal net is the complement of the gate output,
-                    // so its states are the output's with edges swapped.
-                    let mid_part = [
-                        participation(assignments.state(id, Edge::Fall)),
-                        participation(assignments.state(id, Edge::Rise)),
-                    ];
-                    for e in Edge::BOTH {
-                        if !mid_part[e.index()].possible() {
-                            mid.set_edge(e, None);
-                        }
-                    }
-                    let pin_mid = PinWindow {
-                        timing: mid,
-                        participation: mid_part,
-                    };
-                    let (out, used2) =
-                        stage_windows(cell2, self.config.model, &[pin_mid], loads[id.index()])?;
-                    let mut total: DelaysUsed = vec![[None, None]; pins.len()];
-                    for (pin, stage1) in used1.iter().enumerate() {
-                        for e in Edge::BOTH {
-                            total[pin][e.index()] =
-                                match (stage1[e.index()], used2[0][e.inverted().index()]) {
-                                    (Some(a), Some(b)) => Some(a.add(b)),
-                                    _ => None,
-                                };
-                        }
-                    }
-                    (out, total)
-                }
-            };
-            self.apply_state_veto(assignments, id, &mut lt);
-            lines[id.index()] = lt;
-            used[id.index()] = total_used;
-            inverting[id.index()] = plan.inverting();
-        }
-        Ok(ItrResult {
-            lines: Arc::new(lines),
-            used: Arc::new(used),
-            inverting: inverting.into(),
-        })
-    }
-
-    /// Drops window edges the logic state rules out (`S = −1`).
-    fn apply_state_veto(&self, assignments: &Assignments, id: NetId, lt: &mut LineTiming) {
-        for e in Edge::BOTH {
-            if assignments.state(id, e) == TransState::No {
-                lt.set_edge(e, None);
-            }
-        }
+        let mut part = ParticipationMap::new();
+        self.fill_participation(assignments, &mut part);
+        let table = GateTable::new(self.circuit, self.library, &self.config)?;
+        Ok(SharedTiming::from(table.pass(&part)?).into())
     }
 }
 
@@ -326,7 +255,9 @@ mod tests {
     }
 
     fn sta_result(c: &Circuit) -> ssdm_sta::StaResult {
-        Sta::new(c, library(), StaConfig::default()).run().unwrap()
+        ssdm_sta::Sta::new(c, library(), StaConfig::default())
+            .run()
+            .unwrap()
     }
 
     #[test]
@@ -491,7 +422,7 @@ mod tests {
             a.set(pi, V2::transition(Edge::Fall)).unwrap();
         }
         let r = itr.refine(&mut a).unwrap();
-        let sta = Sta::new(&c, library(), cfg).run().unwrap();
+        let sta = ssdm_sta::Sta::new(&c, library(), cfg).run().unwrap();
         // Windows become dramatically tighter than STA's (the paper:
         // "if all input values are specified, timing ranges become
         // points"; ours collapse to near-points, limited by the

@@ -2,14 +2,13 @@
 
 use ssdm_cells::CellLibrary;
 use ssdm_core::{Bound, Capacitance, Edge, Time};
-use ssdm_netlist::{Circuit, GateType, NetId};
+use ssdm_netlist::{Circuit, NetId};
 
 use crate::error::StaError;
-use crate::propagate::{
-    emit_corner_events, stage_windows_traced, DelaysUsed, ModelKind, StageProvenance,
-};
-use crate::stage::{stage_plan, StagePlan};
-use crate::window::{LineTiming, PinWindow};
+use crate::incremental::unconstrained_participation;
+use crate::kernel::GateTable;
+use crate::propagate::{DelaysUsed, ModelKind};
+use crate::window::LineTiming;
 
 /// Analysis configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,24 +84,13 @@ impl<'a> Sta<'a> {
     ///
     /// # Errors
     ///
-    /// Fails when a consumer gate cannot be mapped onto library cells.
+    /// Fails when a gate cannot be mapped onto library cells.
     pub fn net_loads(&self) -> Result<Vec<Capacitance>, StaError> {
-        let mut loads = vec![Capacitance::ZERO; self.circuit.n_nets()];
-        for id in self.circuit.topo() {
-            let gate = self.circuit.gate(id);
-            if gate.gtype == GateType::Input {
-                continue;
-            }
-            let plan = stage_plan(gate.gtype, gate.fanin.len(), &gate.name)?;
-            let cap = self.library.require(&plan.first)?.input_cap();
-            for &f in &gate.fanin {
-                loads[f.index()] = loads[f.index()] + cap;
-            }
-        }
-        for &po in self.circuit.outputs() {
-            loads[po.index()] = loads[po.index()] + self.config.po_load;
-        }
-        Ok(loads)
+        Ok(self.table()?.loads().to_vec())
+    }
+
+    fn table(&self) -> Result<GateTable<'a>, StaError> {
+        GateTable::new(self.circuit, self.library, &self.config)
     }
 
     /// Runs forward analysis with one worker thread per topological
@@ -119,14 +107,8 @@ impl<'a> Sta<'a> {
     /// Panics when `threads` is zero.
     pub fn run_parallel(&self, threads: usize) -> Result<StaResult, StaError> {
         let _span = ssdm_obs::span("sta.run.parallel");
-        let mut engine = crate::incremental::IncrementalSta::new(
-            self.circuit,
-            self.library,
-            self.config.clone(),
-        )?;
-        let part = crate::incremental::unconstrained_participation(self.circuit.n_nets());
-        engine.full_pass_parallel(&part, threads)?;
-        Ok(engine.snapshot())
+        let part = unconstrained_participation(self.circuit.n_nets());
+        self.table()?.pass_parallel(&part, threads)
     }
 
     /// Runs forward analysis: arrival and transition-time windows for both
@@ -137,96 +119,8 @@ impl<'a> Sta<'a> {
     /// Fails on unmappable gates or missing library cells.
     pub fn run(&self) -> Result<StaResult, StaError> {
         let _span = ssdm_obs::span("sta.run");
-        let n = self.circuit.n_nets();
-        let loads = self.net_loads()?;
-        let mut lines = vec![LineTiming::default(); n];
-        let mut used: Vec<DelaysUsed> = vec![Vec::new(); n];
-        let mut inverting = vec![true; n];
-        for id in self.circuit.topo() {
-            let gate = self.circuit.gate(id);
-            if gate.gtype == GateType::Input {
-                lines[id.index()] =
-                    LineTiming::symmetric(self.config.pi_arrival, self.config.pi_ttime);
-                continue;
-            }
-            let plan = stage_plan(gate.gtype, gate.fanin.len(), &gate.name)?;
-            let pins: Vec<PinWindow> = gate
-                .fanin
-                .iter()
-                .map(|&f| PinWindow::sta(lines[f.index()]))
-                .collect();
-            let (lt, total_used, prov) =
-                self.propagate_gate_traced(&plan, &pins, loads[id.index()])?;
-            if ssdm_obs::events_enabled() {
-                emit_corner_events(id.index() as u32, &lt, &prov);
-            }
-            lines[id.index()] = lt;
-            used[id.index()] = total_used;
-            inverting[id.index()] = plan.inverting();
-        }
-        Ok(StaResult {
-            lines,
-            used,
-            inverting,
-            model: self.config.model,
-        })
-    }
-
-    /// Propagates through a gate's one or two stages. Public to ITR, which
-    /// re-runs it with refined pin participations.
-    pub fn propagate_gate(
-        &self,
-        plan: &StagePlan,
-        pins: &[PinWindow],
-        out_load: Capacitance,
-    ) -> Result<(LineTiming, DelaysUsed), StaError> {
-        let (lt, used, _) = self.propagate_gate_traced(plan, pins, out_load)?;
-        Ok((lt, used))
-    }
-
-    /// [`Sta::propagate_gate`] plus per-bound corner provenance for the
-    /// composite gate (two-stage plans compose the winner through the
-    /// internal inverter; see [`StageProvenance::compose`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing library cells or cell-query failures.
-    pub fn propagate_gate_traced(
-        &self,
-        plan: &StagePlan,
-        pins: &[PinWindow],
-        out_load: Capacitance,
-    ) -> Result<(LineTiming, DelaysUsed, StageProvenance), StaError> {
-        let cell1 = self.library.require(&plan.first)?;
-        match &plan.second {
-            None => stage_windows_traced(cell1, self.config.model, pins, out_load),
-            Some(second) => {
-                let cell2 = self.library.require(second)?;
-                let (mid, used1, prov1) =
-                    stage_windows_traced(cell1, self.config.model, pins, cell2.input_cap())?;
-                let (out, used2, prov2) = stage_windows_traced(
-                    cell2,
-                    self.config.model,
-                    &[PinWindow::sta(mid)],
-                    out_load,
-                )?;
-                // Compose per-pin delay bounds across the two stages: the
-                // final edge `e` enters pin `i` as edge `e` (two inversions)
-                // and enters the inverter as `e.inverted()`.
-                let mut total: DelaysUsed = vec![[None, None]; pins.len()];
-                for (pin, stage1) in used1.iter().enumerate() {
-                    for e in Edge::BOTH {
-                        let d1 = stage1[e.index()];
-                        let d2 = used2[0][e.inverted().index()];
-                        total[pin][e.index()] = match (d1, d2) {
-                            (Some(a), Some(b)) => Some(a.add(b)),
-                            _ => None,
-                        };
-                    }
-                }
-                Ok((out, total, StageProvenance::compose(&prov1, &prov2)))
-            }
-        }
+        let part = unconstrained_participation(self.circuit.n_nets());
+        self.table()?.pass(&part)
     }
 }
 
@@ -277,7 +171,7 @@ impl TimingView for StaResult {
 }
 
 impl StaResult {
-    /// Assembles a result from the incremental engine's state.
+    /// Assembles a result from a pass's state.
     pub(crate) fn from_parts(
         lines: Vec<LineTiming>,
         used: Vec<DelaysUsed>,
@@ -290,6 +184,11 @@ impl StaResult {
             inverting,
             model,
         }
+    }
+
+    /// The per-line windows, per-gate used delays and inverting flags.
+    pub(crate) fn into_parts(self) -> (Vec<LineTiming>, Vec<DelaysUsed>, Vec<bool>) {
+        (self.lines, self.used, self.inverting)
     }
 
     /// The windows of a line.

@@ -1,10 +1,11 @@
 //! The incremental dirty-cone timing engine.
 //!
 //! [`Sta::run`](crate::Sta::run) recomputes every window of every gate
-//! from scratch; ITR (Section 5 of the paper) calls that recomputation
-//! once per ATPG decision *and* per backtrack, making it the dominant
-//! cost of timing-driven test generation. This module provides the
-//! engine both now share, built around three ideas:
+//! from scratch; ITR (Section 5 of the paper) needs windows once per ATPG
+//! decision *and* per backtrack, making that the dominant cost of
+//! timing-driven test generation. This module provides the engine ITR
+//! refines with. It evaluates gates through the same kernel as plain STA
+//! ([`GateTable::eval`]) and adds three ideas:
 //!
 //! 1. **Dirty-cone propagation.** The engine keeps the previous
 //!    participation state of every net. A refinement call diffs the new
@@ -21,9 +22,9 @@
 //!    backtracks that revisit an earlier assignment are served from
 //!    cache without touching the characterized-cell fits.
 //! 3. **Parallel full passes.** The first analysis of a large circuit
-//!    (and any explicit [`Sta::run_parallel`](crate::Sta::run_parallel))
-//!    evaluates each topological level's gates across threads; gates on
-//!    one level never depend on each other.
+//!    evaluates each topological level's gates across threads, like
+//!    [`Sta::run_parallel`](crate::Sta::run_parallel); gates on one level
+//!    never depend on each other.
 //!
 //! # Equivalence invariants
 //!
@@ -40,18 +41,20 @@
 //! * parallel passes evaluate the same pure function per gate and only
 //!   the assignment of gates to threads varies.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use ssdm_cells::{CellLibrary, CharacterizedGate};
-use ssdm_core::{Capacitance, Edge};
-use ssdm_netlist::{Circuit, GateType, NetId};
+use ssdm_cells::CellLibrary;
+use ssdm_core::Edge;
+use ssdm_netlist::{Circuit, NetId};
 
 use crate::engine::{StaConfig, StaResult};
 use crate::error::StaError;
-use crate::propagate::{emit_corner_events, stage_windows_traced, DelaysUsed, StageProvenance};
-use crate::stage::stage_plan;
+use crate::kernel::{run_levels, GateTable};
+use crate::propagate::DelaysUsed;
 use crate::window::{LineTiming, Participation, PinWindow};
 
 /// Per-net, per-edge participation for a whole circuit, indexed
@@ -186,18 +189,9 @@ const MEMO_CAP: usize = 1 << 18;
 /// and won from 8k nets on (0.86× at 8k, 0.57× at 100k).
 pub const PARALLEL_THRESHOLD: usize = 8192;
 
-/// One gate's recomputed state in a parallel pass: `(net index, memo
-/// key, windows, used delays)`; the key is `None` for primary inputs.
-type EvalOutput = (usize, Option<Box<[u64]>>, LineTiming, DelaysUsed);
-
-/// A netlist gate resolved onto its characterized cells once, ahead of
-/// time (`stage_plan` + library lookups are string-keyed and would
-/// otherwise run on every evaluation).
-struct ResolvedGate<'a> {
-    first: &'a CharacterizedGate,
-    second: Option<&'a CharacterizedGate>,
-    inverting: bool,
-}
+/// One gate's recomputed state in a parallel pass: `(memo key, windows,
+/// used delays)`; the key is `None` for primary inputs.
+type EvalOutput = (Option<Box<[u64]>>, LineTiming, DelaysUsed);
 
 /// The memo's hasher: one multiply-rotate step per key word. Keys are
 /// short runs of `u64` words (see [`IncrementalSta::write_key`]), and a
@@ -231,8 +225,69 @@ impl Hasher for WordHasher {
     }
 }
 
-/// Memoized gate evaluations under their bit-exact keys.
-type Memo = HashMap<Box<[u64]>, (LineTiming, DelaysUsed), BuildHasherDefault<WordHasher>>;
+/// Memoized gate evaluations under their bit-exact keys. The values live
+/// in an append-only arena the table indexes, so growing the table moves
+/// a key and a slot number, never a value.
+#[derive(Default)]
+struct Memo {
+    slots: HashMap<Box<[u64]>, u32, BuildHasherDefault<WordHasher>>,
+    values: Vec<(LineTiming, DelaysUsed)>,
+}
+
+impl Memo {
+    fn get(&self, key: &[u64]) -> Option<(LineTiming, DelaysUsed)> {
+        self.slots.get(key).map(|&slot| self.values[slot as usize])
+    }
+
+    /// Stores `value` under `key` unless the key is already present (its
+    /// value is then the same: evaluation is pure in the key).
+    fn insert(&mut self, key: Box<[u64]>, value: (LineTiming, DelaysUsed)) {
+        if let Entry::Vacant(e) = self.slots.entry(key) {
+            e.insert(u32::try_from(self.values.len()).expect("memo slot fits u32"));
+            self.values.push(value);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.values.clear();
+    }
+}
+
+/// The dirty nets of one refinement: a min-heap of net indices plus a
+/// flag per net against double entries. Kept across calls, so a call
+/// allocates and resets nothing beyond the nets it touches.
+#[derive(Default)]
+struct Worklist {
+    heap: BinaryHeap<Reverse<usize>>,
+    queued: Vec<bool>,
+}
+
+impl Worklist {
+    fn push(&mut self, i: usize) {
+        if !self.queued[i] {
+            self.queued[i] = true;
+            self.heap.push(Reverse(i));
+        }
+    }
+
+    /// The smallest queued net. Clearing its flag is safe: every later
+    /// push is a fan-out of a popped net, so it has a larger index.
+    fn pop(&mut self) -> Option<usize> {
+        let Reverse(i) = self.heap.pop()?;
+        self.queued[i] = false;
+        Some(i)
+    }
+
+    /// Drops whatever a failed pass left queued.
+    fn clear(&mut self) {
+        while self.pop().is_some() {}
+    }
+}
 
 /// The engine's window state, shared copy-on-write by
 /// [`IncrementalSta::share`]: taking it copies nothing, and a later pass
@@ -246,6 +301,17 @@ pub struct SharedTiming {
     pub used: Arc<Vec<DelaysUsed>>,
     /// Whether each composite gate is logically inverting.
     pub inverting: Arc<[bool]>,
+}
+
+impl From<StaResult> for SharedTiming {
+    fn from(r: StaResult) -> SharedTiming {
+        let (lines, used, inverting) = r.into_parts();
+        SharedTiming {
+            lines: Arc::new(lines),
+            used: Arc::new(used),
+            inverting: inverting.into(),
+        }
+    }
 }
 
 fn push_line(words: &mut Vec<u64>, lt: &LineTiming) {
@@ -275,13 +341,7 @@ fn part_code(p: [Participation; 2]) -> u64 {
 /// The incremental engine. Owns the previous analysis state; see the
 /// module docs for the algorithm and its invariants.
 pub struct IncrementalSta<'a> {
-    circuit: &'a Circuit,
-    config: StaConfig,
-    loads: Vec<Capacitance>,
-    /// `None` for primary inputs.
-    plans: Vec<Option<ResolvedGate<'a>>>,
-    /// Net indices grouped by topological level, for parallel passes.
-    levels: Vec<Vec<usize>>,
+    table: GateTable<'a>,
     part: ParticipationMap,
     lines: Arc<Vec<LineTiming>>,
     used: Arc<Vec<DelaysUsed>>,
@@ -289,6 +349,7 @@ pub struct IncrementalSta<'a> {
     memo: Memo,
     /// Scratch buffer the serial passes build memo keys in.
     key: Vec<u64>,
+    worklist: Worklist,
     counters: EngineCounters,
     primed: bool,
 }
@@ -296,7 +357,7 @@ pub struct IncrementalSta<'a> {
 impl std::fmt::Debug for IncrementalSta<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncrementalSta")
-            .field("circuit", &self.circuit.name())
+            .field("circuit", &self.table.circuit().name())
             .field("primed", &self.primed)
             .field("memo_entries", &self.memo.len())
             .field("stats", &self.counters.snapshot())
@@ -305,8 +366,8 @@ impl std::fmt::Debug for IncrementalSta<'_> {
 }
 
 impl<'a> IncrementalSta<'a> {
-    /// Builds an engine: resolves every gate's stage plan and cells, and
-    /// computes the static per-net loads.
+    /// Builds an engine: resolves every gate's cells and computes the
+    /// static per-net loads (a [`GateTable`]).
     ///
     /// # Errors
     ///
@@ -316,62 +377,29 @@ impl<'a> IncrementalSta<'a> {
         library: &'a CellLibrary,
         config: StaConfig,
     ) -> Result<IncrementalSta<'a>, StaError> {
+        let table = GateTable::new(circuit, library, &config)?;
         let n = circuit.n_nets();
-        let mut loads = vec![Capacitance::ZERO; n];
-        let mut plans: Vec<Option<ResolvedGate<'a>>> = Vec::with_capacity(n);
-        for id in circuit.topo() {
-            let gate = circuit.gate(id);
-            if gate.gtype == GateType::Input {
-                plans.push(None);
-                continue;
-            }
-            let plan = stage_plan(gate.gtype, gate.fanin.len(), &gate.name)?;
-            let first = library.require(&plan.first)?;
-            let second = match &plan.second {
-                Some(name) => Some(library.require(name)?),
-                None => None,
-            };
-            let cap = first.input_cap();
-            for &f in &gate.fanin {
-                loads[f.index()] = loads[f.index()] + cap;
-            }
-            plans.push(Some(ResolvedGate {
-                first,
-                second,
-                inverting: plan.inverting(),
-            }));
-        }
-        for &po in circuit.outputs() {
-            loads[po.index()] = loads[po.index()] + config.po_load;
-        }
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); circuit.depth() + 1];
-        for id in circuit.topo() {
-            levels[circuit.level(id)].push(id.index());
-        }
-        let inverting = plans
-            .iter()
-            .map(|p| p.as_ref().is_none_or(|r| r.inverting))
-            .collect();
+        let inverting = table.inverting().into();
         Ok(IncrementalSta {
-            circuit,
-            config,
-            loads,
-            plans,
-            levels,
+            table,
             part: unconstrained_participation(n),
             lines: Arc::new(vec![LineTiming::default(); n]),
-            used: Arc::new(vec![Vec::new(); n]),
+            used: Arc::new(vec![DelaysUsed::default(); n]),
             inverting,
             memo: Memo::default(),
             key: Vec::new(),
+            worklist: Worklist {
+                heap: BinaryHeap::new(),
+                queued: vec![false; n],
+            },
             counters: EngineCounters::new(),
             primed: false,
         })
     }
 
-    /// Evaluates one net from the current `lines`/`part` state. Pure in
-    /// the memo-key inputs; shared by the sequential, memoized and
-    /// parallel paths.
+    /// Evaluates one net from the current `lines`/`part` state through
+    /// the kernel ([`GateTable::eval`]). Pure in the memo-key inputs;
+    /// shared by the sequential, memoized and parallel paths.
     ///
     /// When provenance events are enabled, each evaluation emits one
     /// `sta.corner` event per surviving output-edge bound. Memo hits do
@@ -380,71 +408,10 @@ impl<'a> IncrementalSta<'a> {
     /// revisits); traced runs that need every gate's corner should use a
     /// fresh engine or [`crate::Sta::run`].
     fn eval_gate_uncached(&self, idx: usize) -> Result<(LineTiming, DelaysUsed), StaError> {
-        let id = NetId(idx);
-        let own = self.part[idx];
-        let veto = |lt: &mut LineTiming| {
-            for e in Edge::BOTH {
-                if !own[e.index()].possible() {
-                    lt.set_edge(e, None);
-                }
-            }
-        };
-        let Some(plan) = &self.plans[idx] else {
-            let mut lt = LineTiming::symmetric(self.config.pi_arrival, self.config.pi_ttime);
-            veto(&mut lt);
-            return Ok((lt, Vec::new()));
-        };
-        let gate = self.circuit.gate(id);
-        let pins: Vec<PinWindow> = gate
-            .fanin
-            .iter()
-            .map(|&f| PinWindow {
-                timing: self.lines[f.index()],
-                participation: self.part[f.index()],
-            })
-            .collect();
-        let (mut lt, total_used, prov) = match plan.second {
-            None => stage_windows_traced(plan.first, self.config.model, &pins, self.loads[idx])?,
-            Some(cell2) => {
-                let (mut mid, used1, prov1) =
-                    stage_windows_traced(plan.first, self.config.model, &pins, cell2.input_cap())?;
-                // The internal net is the complement of the gate output,
-                // so its participation is the output's with edges
-                // swapped.
-                let mut mid_part = [Participation::May; 2];
-                for e in Edge::BOTH {
-                    mid_part[e.index()] = own[e.inverted().index()];
-                    if !mid_part[e.index()].possible() {
-                        mid.set_edge(e, None);
-                    }
-                }
-                let pin_mid = PinWindow {
-                    timing: mid,
-                    participation: mid_part,
-                };
-                let (out, used2, prov2) =
-                    stage_windows_traced(cell2, self.config.model, &[pin_mid], self.loads[idx])?;
-                // Compose per-pin delay bounds across the two stages: the
-                // final edge `e` enters pin `i` as edge `e` (two
-                // inversions) and enters the inverter as `e.inverted()`.
-                let mut total: DelaysUsed = vec![[None, None]; pins.len()];
-                for (pin, stage1) in used1.iter().enumerate() {
-                    for e in Edge::BOTH {
-                        total[pin][e.index()] =
-                            match (stage1[e.index()], used2[0][e.inverted().index()]) {
-                                (Some(a), Some(b)) => Some(a.add(b)),
-                                _ => None,
-                            };
-                    }
-                }
-                (out, total, StageProvenance::compose(&prov1, &prov2))
-            }
-        };
-        veto(&mut lt);
-        if ssdm_obs::events_enabled() {
-            emit_corner_events(idx as u32, &lt, &prov);
-        }
-        Ok((lt, total_used))
+        self.table.eval(idx, self.part[idx], |f| PinWindow {
+            timing: self.lines[f.index()],
+            participation: self.part[f.index()],
+        })
     }
 
     /// Writes the memo key of gate `idx` under the current state into
@@ -454,7 +421,7 @@ impl<'a> IncrementalSta<'a> {
         key.clear();
         key.push(idx as u64);
         key.push(part_code(self.part[idx]));
-        for &f in &self.circuit.gate(NetId(idx)).fanin {
+        for &f in &self.table.circuit().gate(NetId(idx)).fanin {
             key.push(part_code(self.part[f.index()]));
             push_line(key, &self.lines[f.index()]);
         }
@@ -464,19 +431,19 @@ impl<'a> IncrementalSta<'a> {
     /// (their evaluation is cheaper than a probe).
     fn eval_gate(&mut self, idx: usize) -> Result<(LineTiming, DelaysUsed), StaError> {
         self.counters.gates_evaluated.incr();
-        if self.plans[idx].is_none() {
+        if self.table.cells(NetId(idx)).is_none() {
             return self.eval_gate_uncached(idx);
         }
         let mut key = std::mem::take(&mut self.key);
         self.write_key(idx, &mut key);
-        let value = match self.memo.get(&key[..]) {
+        let value = match self.memo.get(&key) {
             Some(hit) => {
                 self.counters.memo_hits.incr();
-                Ok(hit.clone())
+                Ok(hit)
             }
-            None => self.eval_gate_uncached(idx).inspect(|value| {
-                self.memoize(key.as_slice().into(), value.clone());
-            }),
+            None => self
+                .eval_gate_uncached(idx)
+                .inspect(|&value| self.memoize(key.as_slice().into(), value)),
         };
         self.key = key;
         value
@@ -485,7 +452,7 @@ impl<'a> IncrementalSta<'a> {
     /// Records a freshly evaluated gate under its key (a memo miss).
     fn memoize(&mut self, key: Box<[u64]>, value: (LineTiming, DelaysUsed)) {
         self.counters.memo_misses.incr();
-        if self.memo.len() >= MEMO_CAP + self.circuit.n_nets() {
+        if self.memo.len() >= MEMO_CAP + self.table.circuit().n_nets() {
             self.memo.clear();
             self.counters.memo_evictions.incr();
         }
@@ -514,11 +481,12 @@ impl<'a> IncrementalSta<'a> {
     ///
     /// Panics when `part.len()` differs from the circuit's net count.
     pub fn full_pass(&mut self, part: &[[Participation; 2]]) -> Result<(), StaError> {
-        assert_eq!(part.len(), self.circuit.n_nets(), "participation size");
+        let circuit = self.table.circuit();
+        assert_eq!(part.len(), circuit.n_nets(), "participation size");
         let _span = ssdm_obs::span("sta.full_pass");
         self.part.copy_from_slice(part);
         self.counters.full_passes.incr();
-        for id in self.circuit.topo() {
+        for id in circuit.topo() {
             let (lt, du) = self.eval_gate(id.index())?;
             self.store(id.index(), lt, du);
         }
@@ -548,67 +516,32 @@ impl<'a> IncrementalSta<'a> {
         part: &[[Participation; 2]],
         threads: usize,
     ) -> Result<(), StaError> {
-        assert_eq!(part.len(), self.circuit.n_nets(), "participation size");
-        assert!(threads > 0, "at least one thread");
+        let circuit = self.table.circuit();
+        assert_eq!(part.len(), circuit.n_nets(), "participation size");
         let _span = ssdm_obs::span("sta.full_pass.parallel");
         self.part.copy_from_slice(part);
         self.counters.full_passes.incr();
-        let n_levels = self.levels.len();
-        for level in 0..n_levels {
-            let ids = std::mem::take(&mut self.levels[level]);
-            let chunk = ids.len().div_ceil(threads).max(1);
-            let results: Vec<Result<Vec<EvalOutput>, StaError>> = std::thread::scope(|scope| {
-                let engine: &IncrementalSta<'a> = &*self;
-                let handles: Vec<_> = ids
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(w, ids)| {
-                        scope.spawn(move || {
-                            if ssdm_obs::enabled() {
-                                ssdm_obs::set_thread_label(format!("sta.worker.{w}"));
-                            }
-                            // Heartbeat cells are keyed by name, so the
-                            // per-level thread pools of one pass all
-                            // accumulate into stable `sta.worker.{w}`
-                            // lanes (one relaxed load when the progress
-                            // layer is off).
-                            let heartbeat =
-                                ssdm_obs::progress::heartbeat(|| format!("sta.worker.{w}"));
-                            heartbeat.beat(level as u64);
-                            let _span = ssdm_obs::span("sta.level");
-                            let mut key = Vec::new();
-                            let out: Result<Vec<EvalOutput>, StaError> = ids
-                                .iter()
-                                .map(|&i| {
-                                    let (lt, du) = engine.eval_gate_uncached(i)?;
-                                    let key = engine.plans[i].as_ref().map(|_| {
-                                        engine.write_key(i, &mut key);
-                                        key.as_slice().into()
-                                    });
-                                    Ok((i, key, lt, du))
-                                })
-                                .collect();
-                            heartbeat.done();
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            });
-            self.levels[level] = ids;
-            for r in results {
-                for (i, key, lt, du) in r? {
-                    self.counters.gates_evaluated.incr();
-                    if let Some(key) = key {
-                        self.memoize(key, (lt, du.clone()));
-                    }
-                    self.store(i, lt, du);
+        run_levels(
+            circuit,
+            threads,
+            self,
+            |engine, i| -> Result<EvalOutput, StaError> {
+                let (lt, du) = engine.eval_gate_uncached(i)?;
+                let key = engine.table.cells(NetId(i)).map(|_| {
+                    let mut key = Vec::new();
+                    engine.write_key(i, &mut key);
+                    key.into_boxed_slice()
+                });
+                Ok((key, lt, du))
+            },
+            |engine, i, (key, lt, du)| {
+                engine.counters.gates_evaluated.incr();
+                if let Some(key) = key {
+                    engine.memoize(key, (lt, du));
                 }
-            }
-        }
+                engine.store(i, lt, du);
+            },
+        )?;
         self.primed = true;
         Ok(())
     }
@@ -631,15 +564,16 @@ impl<'a> IncrementalSta<'a> {
     ///
     /// Panics when `part.len()` differs from the circuit's net count.
     pub fn refine(&mut self, part: &[[Participation; 2]]) -> Result<usize, StaError> {
-        assert_eq!(part.len(), self.circuit.n_nets(), "participation size");
+        let circuit = self.table.circuit();
+        assert_eq!(part.len(), circuit.n_nets(), "participation size");
         if !self.primed {
-            let threads = default_threads(self.circuit.n_nets());
+            let threads = default_threads(circuit.n_nets());
             if threads > 1 {
                 self.full_pass_parallel(part, threads)?;
             } else {
                 self.full_pass(part)?;
             }
-            return Ok(self.circuit.n_nets());
+            return Ok(circuit.n_nets());
         }
         let _span = ssdm_obs::span("sta.refine");
         self.counters.incremental_passes.incr();
@@ -651,18 +585,10 @@ impl<'a> IncrementalSta<'a> {
         } else {
             Vec::new()
         };
-        // Min-heap of dirty net indices: fan-outs always have larger
-        // topological indices, so popping in index order both respects
-        // dependencies and guarantees each net is evaluated at most once.
-        let mut heap = std::collections::BinaryHeap::new();
-        let mut queued = vec![false; part.len()];
-        let push =
-            |heap: &mut std::collections::BinaryHeap<_>, queued: &mut Vec<bool>, i: usize| {
-                if !queued[i] {
-                    queued[i] = true;
-                    heap.push(std::cmp::Reverse(i));
-                }
-            };
+        // Dirty nets pop in index order: fan-outs always have larger
+        // topological indices, so this both respects dependencies and
+        // guarantees each net is evaluated at most once.
+        let mut work = std::mem::take(&mut self.worklist);
         let mut seeds = 0u64;
         for (i, &p) in part.iter().enumerate() {
             if p != self.part[i] {
@@ -671,27 +597,37 @@ impl<'a> IncrementalSta<'a> {
                 if events {
                     seeded[i] = true;
                 }
-                push(&mut heap, &mut queued, i);
-                for &c in self.circuit.fanouts(NetId(i)) {
-                    push(&mut heap, &mut queued, c.index());
+                work.push(i);
+                for &c in circuit.fanouts(NetId(i)) {
+                    work.push(c.index());
                 }
             }
         }
         self.counters.dirty_seeds.add(seeds);
         let mut evaluated = 0usize;
-        while let Some(std::cmp::Reverse(i)) = heap.pop() {
-            let (lt, du) = self.eval_gate(i)?;
+        let mut outcome = Ok(());
+        while let Some(i) = work.pop() {
+            let (lt, du) = match self.eval_gate(i) {
+                Ok(v) => v,
+                Err(e) => {
+                    outcome = Err(e);
+                    work.clear();
+                    break;
+                }
+            };
             evaluated += 1;
             if lt != self.lines[i] || du != self.used[i] {
                 if events {
                     emit_shrink_events(i as u32, &self.lines[i], &lt, seeded[i]);
                 }
                 self.store(i, lt, du);
-                for &c in self.circuit.fanouts(NetId(i)) {
-                    push(&mut heap, &mut queued, c.index());
+                for &c in circuit.fanouts(NetId(i)) {
+                    work.push(c.index());
                 }
             }
         }
+        self.worklist = work;
+        outcome?;
         if ssdm_obs::enabled() {
             ssdm_obs::histogram("sta.refine.cone_gates").record(evaluated as u64);
             ssdm_obs::histogram("sta.refine.dirty_seeds").record(seeds);
@@ -740,7 +676,7 @@ impl<'a> IncrementalSta<'a> {
             self.lines.to_vec(),
             self.used.to_vec(),
             self.inverting.to_vec(),
-            self.config.model,
+            self.table.model(),
         )
     }
 }

@@ -14,6 +14,8 @@
 //!   minima,
 //! * [`stage`] — mapping netlist gates onto characterized cells (AND/OR
 //!   decompose into NAND/NOR + INV),
+//! * [`kernel`] — the resolved-gate table and the one gate evaluation
+//!   every pass runs,
 //! * [`engine`] — the full-circuit forward pass,
 //! * [`incremental`] — the dirty-cone engine shared by STA and ITR:
 //!   participation-diff worklists, bit-exact gate-evaluation memoization
@@ -49,6 +51,7 @@ pub mod backward;
 pub mod engine;
 pub mod error;
 pub mod incremental;
+pub mod kernel;
 pub mod propagate;
 pub mod report;
 pub mod stage;
@@ -61,6 +64,7 @@ pub use incremental::{
 
 pub use engine::{Sta, StaConfig, StaResult, TimingView};
 pub use error::StaError;
+pub use kernel::{GateTable, StageCells};
 pub use propagate::{
     stage_windows, stage_windows_traced, CornerChoice, DelaysUsed, ModelKind, StageProvenance,
 };

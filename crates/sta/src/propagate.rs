@@ -3,7 +3,7 @@
 //! participation states so that ITR (Section 5.2) is the refined case and
 //! plain STA the all-`May` case.
 
-use ssdm_cells::CharacterizedGate;
+use ssdm_cells::{CharacterizedGate, PinCorner};
 use ssdm_core::{Bound, Capacitance, Edge, Time, VShape};
 use ssdm_obs::{DelayTerm, Event, EventBound, EventEdge};
 
@@ -61,10 +61,60 @@ impl ModelKind {
     }
 }
 
+/// The kernel's pin capacity: `stage_plan`'s fan-in cap, so every
+/// per-pin buffer of a gate evaluation is a fixed-size array.
+pub(crate) const MAX_PINS: usize = 4;
+
 /// The delay window (min, max) each input pin contributed to each of its
 /// input edges, recorded for the backward (required-time) pass. Indexed
-/// `used[pin][in_edge.index()]`.
-pub type DelaysUsed = Vec<[Option<Bound>; 2]>;
+/// `used[pin][in_edge.index()]`: a `Copy` record of at most four pins that
+/// dereferences to the slice of the gate's own pins.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DelaysUsed {
+    len: usize,
+    pins: [[Option<Bound>; 2]; MAX_PINS],
+}
+
+impl DelaysUsed {
+    /// A record of `len` pins, none of them used yet.
+    fn new(len: usize) -> DelaysUsed {
+        assert!(len <= MAX_PINS, "{len} pins exceed the kernel capacity");
+        DelaysUsed {
+            len,
+            ..DelaysUsed::default()
+        }
+    }
+
+    /// Composes a two-stage gate's per-pin bounds: the final edge `e`
+    /// enters pin `i` of the first stage as edge `e` (two inversions) and
+    /// the inverter as `e.inverted()`.
+    pub(crate) fn compose(first: &DelaysUsed, second: &DelaysUsed) -> DelaysUsed {
+        let mut total = DelaysUsed::new(first.len);
+        for (out, stage1) in total.iter_mut().zip(first.iter()) {
+            for e in Edge::BOTH {
+                out[e.index()] = match (stage1[e.index()], second[0][e.inverted().index()]) {
+                    (Some(a), Some(b)) => Some(a.add(b)),
+                    _ => None,
+                };
+            }
+        }
+        total
+    }
+}
+
+impl std::ops::Deref for DelaysUsed {
+    type Target = [[Option<Bound>; 2]];
+
+    fn deref(&self) -> &Self::Target {
+        &self.pins[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for DelaysUsed {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.pins[..self.len]
+    }
+}
 
 /// The winning corner of one bound of one output-edge window: which input
 /// pin's transition was binding, through which model term, and the stage
@@ -159,7 +209,8 @@ pub fn event_edge(e: Edge) -> EventEdge {
 ///
 /// # Errors
 ///
-/// Propagates characterized-cell query failures.
+/// Returns [`StaError::Unmappable`] for a cell wider than the kernel's
+/// four-pin capacity, and propagates characterized-cell query failures.
 ///
 /// # Panics
 ///
@@ -181,7 +232,7 @@ pub fn stage_windows(
 ///
 /// # Errors
 ///
-/// Propagates characterized-cell query failures.
+/// Same as [`stage_windows`].
 ///
 /// # Panics
 ///
@@ -192,6 +243,7 @@ pub fn stage_windows_traced(
     pins: &[PinWindow],
     load: Capacitance,
 ) -> Result<(LineTiming, DelaysUsed, StageProvenance), StaError> {
+    check_width(cell, cell.name())?;
     assert_eq!(
         pins.len(),
         cell.n_inputs(),
@@ -199,22 +251,33 @@ pub fn stage_windows_traced(
         cell.name()
     );
     let mut out = LineTiming::default();
-    let mut used: DelaysUsed = vec![[None, None]; pins.len()];
+    let mut used = DelaysUsed::new(pins.len());
     let mut prov = StageProvenance::default();
     for out_edge in Edge::BOTH {
-        let in_edge = out_edge.inverted();
-        let (timing, stage_used, corners) =
-            edge_windows(cell, model, pins, load, out_edge, in_edge)?;
+        let (timing, corners) = edge_windows(cell, model, pins, load, out_edge, &mut used)?;
         out.set_edge(out_edge, timing);
         prov.corners[out_edge.index()] = corners;
-        for (pin, b) in stage_used.into_iter().enumerate() {
-            used[pin][in_edge.index()] = b;
-        }
     }
     Ok((out, used, prov))
 }
 
+/// Rejects a cell wider than the kernel's pin capacity, naming `gate`.
+pub(crate) fn check_width(cell: &CharacterizedGate, gate: &str) -> Result<(), StaError> {
+    if cell.n_inputs() > MAX_PINS {
+        return Err(StaError::Unmappable {
+            gate: gate.to_owned(),
+            reason: format!(
+                "cell {} has {} inputs; the timing kernel takes at most {MAX_PINS}",
+                cell.name(),
+                cell.n_inputs()
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// One active input, with its pre-computed pin-delay corners.
+#[derive(Clone, Copy)]
 struct Active {
     pin: usize,
     arrival: Bound,
@@ -228,23 +291,30 @@ struct Active {
     ttmax: Time,
 }
 
-#[allow(clippy::type_complexity)]
+/// One output edge of [`stage_windows_traced`]: the edge's windows and
+/// winning corners, with each active pin's delay window written into
+/// `used` under the input edge.
 fn edge_windows(
     cell: &CharacterizedGate,
     model: ModelKind,
     pins: &[PinWindow],
     load: Capacitance,
     out_edge: Edge,
-    in_edge: Edge,
-) -> Result<
-    (
-        Option<EdgeTiming>,
-        Vec<Option<Bound>>,
-        [Option<CornerChoice>; 2],
-    ),
-    StaError,
-> {
-    let mut active: Vec<Active> = Vec::with_capacity(pins.len());
+    used: &mut DelaysUsed,
+) -> Result<(Option<EdgeTiming>, [Option<CornerChoice>; 2]), StaError> {
+    let in_edge = out_edge.inverted();
+    let blank = Active {
+        pin: 0,
+        arrival: Bound::point(Time::ZERO),
+        ttime: Bound::point(Time::ZERO),
+        must: false,
+        dmin: Time::ZERO,
+        dmax: Time::ZERO,
+        ttmin: Time::ZERO,
+        ttmax: Time::ZERO,
+    };
+    let mut buf = [blank; MAX_PINS];
+    let mut n_active = 0;
     for (pin, pw) in pins.iter().enumerate() {
         if !pw.part(in_edge).possible() {
             continue;
@@ -262,7 +332,7 @@ fn edge_windows(
         let dmin = cell.pin_delay(out_edge, pin, t_for_min, load)?;
         let tt_for_max = fit.ttime.argmax_over(t_lo, t_hi);
         let tt_for_min = fit.ttime.argmin_over(t_lo, t_hi);
-        active.push(Active {
+        buf[n_active] = Active {
             pin,
             arrival: et.arrival,
             ttime: et.ttime,
@@ -271,17 +341,20 @@ fn edge_windows(
             dmax,
             ttmin: cell.pin_ttime(out_edge, pin, tt_for_min, load)?,
             ttmax: cell.pin_ttime(out_edge, pin, tt_for_max, load)?,
-        });
+        };
+        n_active += 1;
     }
+    let active = &buf[..n_active];
     if active.is_empty() {
-        return Ok((None, vec![None; pins.len()], [None, None]));
+        return Ok((None, [None, None]));
     }
     let ctrl = cell.n_inputs() >= 2 && out_edge == cell.ctrl_out_edge();
     let any_must = active.iter().any(|a| a.must);
+    // Only the V-shape corner search reads the pair table.
     let shapes = if ctrl && model.vshape() {
-        PairShapes::build(cell, load, &active)?
+        Some(PairShapes::build(cell, load, active)?)
     } else {
-        PairShapes::default()
+        None
     };
 
     // --- Arrival window -------------------------------------------------
@@ -290,7 +363,12 @@ fn edge_windows(
     // the previous fold-based search produced).
     let mut min_choice: Option<CornerChoice> = None;
     let mut max_choice: Option<CornerChoice> = None;
-    let (a_s, a_l, min_used) = if ctrl {
+    // Each active pin's minimum delay, lowered below by V-shape speed-ups.
+    let mut min_used = [Time::ZERO; MAX_PINS];
+    for (slot, a) in min_used.iter_mut().zip(active) {
+        *slot = a.dmin;
+    }
+    let (a_s, a_l) = if ctrl {
         // To-controlling: the earliest participating transition triggers
         // the output.
         let a_l = if any_must {
@@ -300,8 +378,8 @@ fn edge_windows(
             // when vectors are fully specified, Section 5).
             let mut best = Time::INFINITY;
             for (t, trig) in active.iter().enumerate().filter(|(_, a)| a.must) {
-                let (d, term) = if model.vshape() {
-                    composed_max(cell, &shapes, t, &active)
+                let (d, term) = if let Some(shapes) = &shapes {
+                    composed_max(cell, shapes, t, active)
                 } else {
                     (trig.dmax, DelayTerm::Dr)
                 };
@@ -319,7 +397,7 @@ fn edge_windows(
         } else {
             // Any single input might be the only one switching.
             let mut best = Time::NEG_INFINITY;
-            for a in &active {
+            for a in active {
                 let cand = a.arrival.l() + a.dmax;
                 if cand > best {
                     best = cand;
@@ -333,10 +411,9 @@ fn edge_windows(
             best
         };
         let mut a_s = Time::INFINITY;
-        let mut min_used: Vec<Time> = active.iter().map(|a| a.dmin).collect();
         for (idx, trig) in active.iter().enumerate() {
-            let (d, term) = if model.vshape() {
-                composed_min(cell, &shapes, idx, &active)
+            let (d, term) = if let Some(shapes) = &shapes {
+                composed_min(cell, shapes, idx, active)
             } else {
                 (trig.dmin, DelayTerm::Dr)
             };
@@ -351,18 +428,18 @@ fn edge_windows(
                 });
             }
         }
-        (a_s, a_l, min_used)
+        (a_s, a_l)
     } else {
         // To-non-controlling (or single-input): the output waits for the
         // last needed transition; every `Must` input must complete. Under
         // the proposed model, near-simultaneous companions additionally
         // slow the release (Miller effect, Section 3.6 extension).
         let mut a_l = Time::NEG_INFINITY;
-        for trig in &active {
+        for trig in active {
             let mut d = trig.dmax;
             let mut term = DelayTerm::Dr;
             if model.miller() && cell.n_inputs() >= 2 {
-                for other in &active {
+                for other in active {
                     if other.pin == trig.pin {
                         continue;
                     }
@@ -395,7 +472,7 @@ fn edge_windows(
         }
         let mut single_min = Time::INFINITY;
         let mut single_choice: Option<CornerChoice> = None;
-        for a in &active {
+        for a in active {
             let cand = a.arrival.s() + a.dmin;
             if cand < single_min {
                 single_min = cand;
@@ -426,8 +503,7 @@ fn edge_windows(
             min_choice = single_choice;
             single_min
         };
-        let min_used = active.iter().map(|a| a.dmin).collect();
-        (a_s, a_l, min_used)
+        (a_s, a_l)
     };
 
     // --- Transition-time window ------------------------------------------
@@ -479,13 +555,11 @@ fn edge_windows(
     // Guard against fit noise producing inverted bounds.
     let arrival = Bound::hull(a_s, a_l);
     let ttime = Bound::hull(tt_s, tt_l);
-    let mut used = vec![None; pins.len()];
     for (idx, a) in active.iter().enumerate() {
-        used[a.pin] = Some(Bound::hull(min_used[idx], a.dmax));
+        used[a.pin][in_edge.index()] = Some(Bound::hull(min_used[idx], a.dmax));
     }
     Ok((
         Some(EdgeTiming { arrival, ttime }),
-        used,
         [min_choice, max_choice],
     ))
 }
@@ -500,10 +574,13 @@ fn edge_windows(
 /// pin order, so `t < o` is the pair's normalized orientation; the other
 /// one is the normalized shape's [`VShape::mirrored`], which is what
 /// `vshape_delay` itself returns for a reversed query.
-#[derive(Default)]
+///
+/// Each active input's two corners (clamped transition time, cube root and
+/// pin delay) are prepared once, not once per pair and corner; see
+/// [`CharacterizedGate::vshape_delay_at`].
 struct PairShapes {
     n: usize,
-    shapes: Vec<[[VShape; 2]; 2]>,
+    shapes: [[[VShape; 2]; 2]; MAX_PINS * MAX_PINS],
 }
 
 impl PairShapes {
@@ -513,14 +590,19 @@ impl PairShapes {
         active: &[Active],
     ) -> Result<PairShapes, StaError> {
         let n = active.len();
-        let corners = |a: &Active| [cell.clamp_t(a.ttime.s()), cell.clamp_t(a.ttime.l())];
-        let mut shapes = vec![[[VShape::flat(Time::ZERO); 2]; 2]; n * n];
-        for (t, lo) in active.iter().enumerate() {
-            for (o, hi) in active.iter().enumerate().skip(t + 1) {
-                let (ct, co) = (corners(lo), corners(hi));
+        let mut corners = [[PinCorner::default(); 2]; MAX_PINS];
+        for (c, a) in corners.iter_mut().zip(active) {
+            *c = [
+                cell.pin_corner(a.pin, a.ttime.s(), load)?,
+                cell.pin_corner(a.pin, a.ttime.l(), load)?,
+            ];
+        }
+        let mut shapes = [[[VShape::flat(Time::ZERO); 2]; 2]; MAX_PINS * MAX_PINS];
+        for t in 0..n {
+            for o in t + 1..n {
                 for ci in 0..2 {
                     for cj in 0..2 {
-                        let v = cell.vshape_delay(lo.pin, hi.pin, ct[ci], co[cj], load)?;
+                        let v = cell.vshape_delay_at(&corners[t][ci], &corners[o][cj], load)?;
                         shapes[t * n + o][ci][cj] = v;
                         shapes[o * n + t][cj][ci] = v.mirrored();
                     }

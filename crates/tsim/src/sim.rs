@@ -4,7 +4,7 @@ use ssdm_cells::CellLibrary;
 use ssdm_core::{Edge, Time, Transition};
 use ssdm_models::DelayModel;
 use ssdm_netlist::{Circuit, GateType, NetId};
-use ssdm_sta::{stage_plan, Sta, StaConfig};
+use ssdm_sta::{GateTable, StaConfig, StageCells};
 
 use crate::error::TsimError;
 
@@ -79,10 +79,11 @@ pub struct TimingSim<'a, M> {
     library: &'a CellLibrary,
     model: M,
     config: StaConfig,
-    /// Per-net loads, computed once on first [`TimingSim::run`] — replay
-    /// workloads (fault dropping) call `run` once per generated test, and
-    /// the loads depend only on the circuit, library and configuration.
-    loads: std::sync::OnceLock<Vec<ssdm_core::Capacitance>>,
+    /// Per-net cells and loads, resolved once on first [`TimingSim::run`]
+    /// — replay workloads (fault dropping) call `run` once per generated
+    /// test, and the table depends only on the circuit, library and
+    /// configuration.
+    table: std::sync::OnceLock<GateTable<'a>>,
     /// Replays performed by this simulator (`tsim.runs` in the `ssdm-obs`
     /// registry).
     runs: ssdm_obs::Counter,
@@ -96,16 +97,16 @@ impl<'a, M: DelayModel> TimingSim<'a, M> {
             library,
             model,
             config: StaConfig::default(),
-            loads: std::sync::OnceLock::new(),
+            table: std::sync::OnceLock::new(),
             runs: ssdm_obs::counter("tsim.runs"),
         }
     }
 
     /// Overrides the configuration (primary-output load etc.), resetting
-    /// any cached loads.
+    /// any cached table.
     pub fn with_config(mut self, config: StaConfig) -> TimingSim<'a, M> {
         self.config = config;
-        self.loads = std::sync::OnceLock::new();
+        self.table = std::sync::OnceLock::new();
         self
     }
 
@@ -127,11 +128,11 @@ impl<'a, M: DelayModel> TimingSim<'a, M> {
             });
         }
         let n = self.circuit.n_nets();
-        let loads = match self.loads.get() {
-            Some(l) => l,
+        let table = match self.table.get() {
+            Some(t) => t,
             None => {
-                let l = Sta::new(self.circuit, self.library, self.config.clone()).net_loads()?;
-                self.loads.get_or_init(|| l)
+                let t = GateTable::new(self.circuit, self.library, &self.config)?;
+                self.table.get_or_init(|| t)
             }
         };
         let mut values1 = vec![false; n];
@@ -183,14 +184,9 @@ impl<'a, M: DelayModel> TimingSim<'a, M> {
                 !fanin_tr.is_empty(),
                 "output switched without a responsible input transition"
             );
-            events[id.index()] = Some(self.gate_event(
-                gate.gtype,
-                gate.fanin.len(),
-                &gate.name,
-                &fanin_tr,
-                loads[id.index()],
-                out_edge,
-            )?);
+            let cells = table.cells(id).expect("non-input gates are resolved");
+            events[id.index()] =
+                Some(self.gate_event(cells, &fanin_tr, table.loads()[id.index()], out_edge)?);
         }
         Ok(SimTrace {
             values1,
@@ -212,21 +208,14 @@ impl<'a, M: DelayModel> TimingSim<'a, M> {
     /// Evaluates one (possibly composite) gate through the delay model.
     fn gate_event(
         &self,
-        gtype: GateType,
-        fanin: usize,
-        gate_name: &str,
+        cells: StageCells<'_>,
         switching: &[(usize, Transition)],
         load: ssdm_core::Capacitance,
         out_edge: Edge,
     ) -> Result<Transition, TsimError> {
-        let plan = stage_plan(gtype, fanin, gate_name)?;
-        let cell1 = self
-            .library
-            .require(&plan.first)
-            .map_err(ssdm_sta::StaError::from)?;
-        match plan.second {
+        match cells.second {
             None => {
-                let r = self.model.response(cell1, switching, load)?;
+                let r = self.model.response(cells.first, switching, load)?;
                 debug_assert_eq!(r.out_edge, out_edge);
                 Ok(Transition::new(
                     r.out_edge,
@@ -234,12 +223,10 @@ impl<'a, M: DelayModel> TimingSim<'a, M> {
                     r.ttime.max(Time::from_ps(1.0)),
                 ))
             }
-            Some(second) => {
-                let cell2 = self
-                    .library
-                    .require(&second)
-                    .map_err(ssdm_sta::StaError::from)?;
-                let mid = self.model.response(cell1, switching, cell2.input_cap())?;
+            Some(cell2) => {
+                let mid = self
+                    .model
+                    .response(cells.first, switching, cell2.input_cap())?;
                 let mid_tr =
                     Transition::new(mid.out_edge, mid.arrival, mid.ttime.max(Time::from_ps(1.0)));
                 let r = self.model.response(cell2, &[(0, mid_tr)], load)?;
