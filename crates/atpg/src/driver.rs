@@ -46,16 +46,19 @@
 //! towards *steady* values, so the replay never invents transitions the
 //! search did not ask for.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use ssdm_cells::CellLibrary;
 use ssdm_core::{Bound, Edge, Time};
+use ssdm_logic::Tri;
 use ssdm_models::ProposedModel;
-use ssdm_netlist::{Circuit, CrosstalkSite, GateType, NetId};
+use ssdm_netlist::{Circuit, CrosstalkSite};
 use ssdm_sta::{required_times, IncrementalStats, Sta};
 use ssdm_tsim::{SimInput, SimTrace, TimingSim};
 
 use crate::error::AtpgError;
+use crate::faulty::FaultCone;
 use crate::podem::{Atpg, AtpgConfig, AtpgStats, FaultOutcome, TestPair};
 
 /// Per-site campaign outcome, in input order.
@@ -106,10 +109,13 @@ impl CampaignResult {
 #[derive(Debug)]
 pub struct Replay {
     trace: SimTrace,
+    /// Scratch for the observability check of [`TestReplayer::covers`].
+    cone: RefCell<FaultCone>,
 }
 
 /// Replays generated tests through the two-frame timing simulator and
-/// decides which other faults they cover.
+/// decides which other faults they cover. One replayer serves a whole
+/// campaign: it is `Sync`, so every worker borrows it.
 #[derive(Debug)]
 pub struct TestReplayer<'a> {
     circuit: &'a Circuit,
@@ -174,7 +180,10 @@ impl<'a> TestReplayer<'a> {
     pub fn replay(&self, test: &TestPair) -> Result<Replay, AtpgError> {
         let (v1, v2) = fill(test);
         let trace = self.sim.run(&SimInput::step(self.circuit, &v1, &v2))?;
-        Ok(Replay { trace })
+        Ok(Replay {
+            trace,
+            cone: RefCell::new(FaultCone::new(self.circuit)),
+        })
     }
 
     /// Whether the replayed test covers `site`'s crosstalk fault: opposing
@@ -206,31 +215,17 @@ impl<'a> TestReplayer<'a> {
             return false;
         }
         // Observation: some primary output samples a different value when
-        // the victim's transition is held back.
-        let faulty2 = self.faulty_values2(&replay.trace, site.victim);
-        self.circuit
-            .outputs()
-            .iter()
-            .any(|&po| faulty2[po.index()] != replay.trace.values(po).1)
-    }
-
-    /// Second-frame values with the victim's transition suppressed (the
-    /// victim holds its first-frame value — i.e. its second-frame value
-    /// complemented, since `covers` only calls this when it switches).
-    fn faulty_values2(&self, trace: &SimTrace, victim: NetId) -> Vec<bool> {
-        let mut vals = vec![false; self.circuit.n_nets()];
-        for id in self.circuit.topo() {
-            let gate = self.circuit.gate(id);
-            vals[id.index()] = if id == victim {
-                !trace.values(id).1
-            } else if gate.gtype == GateType::Input {
-                trace.values(id).1
-            } else {
-                let fanin: Vec<bool> = gate.fanin.iter().map(|f| vals[f.index()]).collect();
-                gate.gtype.eval(&fanin)
-            };
-        }
-        vals
+        // the victim's transition is held back (it keeps its first-frame
+        // value, the complement of its second-frame one). The trace is a
+        // full forward simulation with every value known, so the cone
+        // kernel is exact on it.
+        let trace = &replay.trace;
+        replay
+            .cone
+            .borrow_mut()
+            .propagate(self.circuit, site.victim, |n| {
+                Tri::from_bool(trace.values(n).1)
+            })
     }
 }
 
@@ -309,13 +304,14 @@ impl<'a> AtpgDriver<'a> {
         // /healthz liveness view and the ETA; they never influence
         // scheduling, so outcomes stay bit-identical either way.
         ssdm_obs::progress::set_campaign(sites.len() as u64);
+        let replayer = TestReplayer::new(self.circuit, self.library, &self.config)?;
         let speculated = self.jobs > 1 && sites.len() > 1;
         let (speculative, timing) = if speculated {
-            self.speculate(sites)?
+            self.speculate(sites, &replayer)?
         } else {
             (vec![None; sites.len()], IncrementalStats::default())
         };
-        self.resolve(sites, speculative, timing, speculated)
+        self.resolve(sites, &replayer, speculative, timing, speculated)
     }
 
     /// Parallel phase: workers claim sites from a shared cursor, searching
@@ -326,6 +322,7 @@ impl<'a> AtpgDriver<'a> {
     fn speculate(
         &self,
         sites: &[CrosstalkSite],
+        replayer: &TestReplayer<'_>,
     ) -> Result<(Vec<Option<FaultOutcome>>, IncrementalStats), AtpgError> {
         let n = sites.len();
         let cursor = AtomicUsize::new(0);
@@ -340,7 +337,6 @@ impl<'a> AtpgDriver<'a> {
                 let skipped = ssdm_obs::counter("atpg.worker.skipped");
                 let heartbeat = ssdm_obs::progress::heartbeat(|| format!("atpg.worker.{w}"));
                 let atpg = Atpg::new(self.circuit, self.library, self.config.clone());
-                let replayer = TestReplayer::new(self.circuit, self.library, &self.config)?;
                 let mut local = Vec::new();
                 loop {
                     let j = cursor.fetch_add(1, Ordering::Relaxed);
@@ -361,7 +357,7 @@ impl<'a> AtpgDriver<'a> {
                     searched.incr();
                     let outcome = atpg.run_site(sites[j])?;
                     if let FaultOutcome::Detected(test) = &outcome {
-                        let replay = replay_timed(&replayer, test)?;
+                        let replay = replay_timed(replayer, test)?;
                         for (k, flag) in dropped.iter().enumerate().skip(j + 1) {
                             if !flag.load(Ordering::Relaxed) && replayer.covers(&replay, sites[k]) {
                                 flag.store(true, Ordering::Release);
@@ -402,6 +398,7 @@ impl<'a> AtpgDriver<'a> {
     fn resolve(
         &self,
         sites: &[CrosstalkSite],
+        replayer: &TestReplayer<'_>,
         speculative: Vec<Option<FaultOutcome>>,
         mut timing: IncrementalStats,
         speculated: bool,
@@ -417,7 +414,6 @@ impl<'a> AtpgDriver<'a> {
         let aborted = ssdm_obs::counter("atpg.campaign.aborted");
         let heartbeat = ssdm_obs::progress::heartbeat(|| "atpg.resolve".to_string());
         let atpg = Atpg::new(self.circuit, self.library, self.config.clone());
-        let replayer = TestReplayer::new(self.circuit, self.library, &self.config)?;
         let n = sites.len();
         let mut dropped_by: Vec<Option<usize>> = vec![None; n];
         let mut outcomes: Vec<SiteOutcome> = Vec::with_capacity(n);
@@ -446,7 +442,7 @@ impl<'a> AtpgDriver<'a> {
             };
             if let FaultOutcome::Detected(test) = &outcome {
                 if j + 1 < n {
-                    let replay = replay_timed(&replayer, test)?;
+                    let replay = replay_timed(replayer, test)?;
                     for k in j + 1..n {
                         if dropped_by[k].is_none() && replayer.covers(&replay, sites[k]) {
                             dropped_by[k] = Some(j);
@@ -493,7 +489,9 @@ mod tests {
     use super::*;
     use crate::test_library as library;
     use ssdm_logic::Tri;
-    use ssdm_netlist::{coupling_sites, generate, suite, CircuitBuilder, GeneratorConfig};
+    use ssdm_netlist::{
+        coupling_sites, generate, suite, CircuitBuilder, GateType, GeneratorConfig,
+    };
 
     fn campaign(circuit: &Circuit, n_sites: usize, seed: u64, jobs: usize) -> CampaignResult {
         let sites = coupling_sites(circuit, n_sites, seed);
