@@ -299,19 +299,13 @@ impl<'a> AtpgDriver<'a> {
     /// data.
     pub fn run(&self, sites: &[CrosstalkSite]) -> Result<CampaignResult, AtpgError> {
         let _span = ssdm_obs::span("atpg.driver");
-        // Announce the campaign to the live-telemetry progress layer
-        // (one relaxed load when it is disabled). Heartbeats feed the
-        // /healthz liveness view and the ETA; they never influence
-        // scheduling, so outcomes stay bit-identical either way.
-        ssdm_obs::progress::set_campaign(sites.len() as u64);
         let replayer = TestReplayer::new(self.circuit, self.library, &self.config)?;
-        let speculated = self.jobs > 1 && sites.len() > 1;
-        let (speculative, timing) = if speculated {
+        let (speculative, timing) = if self.jobs > 1 && sites.len() > 1 {
             self.speculate(sites, &replayer)?
         } else {
             (vec![None; sites.len()], IncrementalStats::default())
         };
-        self.resolve(sites, &replayer, speculative, timing, speculated)
+        self.resolve(sites, &replayer, speculative, timing)
     }
 
     /// Parallel phase: workers claim sites from a shared cursor, searching
@@ -335,7 +329,6 @@ impl<'a> AtpgDriver<'a> {
                 let _span = ssdm_obs::span("atpg.speculate");
                 let searched = ssdm_obs::counter("atpg.worker.searched");
                 let skipped = ssdm_obs::counter("atpg.worker.skipped");
-                let heartbeat = ssdm_obs::progress::heartbeat(|| format!("atpg.worker.{w}"));
                 let atpg = Atpg::new(self.circuit, self.library, self.config.clone());
                 let mut local = Vec::new();
                 loop {
@@ -343,15 +336,10 @@ impl<'a> AtpgDriver<'a> {
                     if j >= n {
                         break;
                     }
-                    heartbeat.beat(j as u64);
                     if dropped[j].load(Ordering::Acquire) {
                         // Skipped, not decided: the resolve pass either
                         // confirms the drop or searches the site itself.
-                        // The heartbeat still retires the site — that is
-                        // what makes the campaign ETA track the drop
-                        // rate.
                         skipped.incr();
-                        heartbeat.done();
                         continue;
                     }
                     searched.incr();
@@ -364,10 +352,8 @@ impl<'a> AtpgDriver<'a> {
                             }
                         }
                     }
-                    heartbeat.done();
                     local.push((j, outcome));
                 }
-                heartbeat.finish();
                 Ok((local, atpg.timing_stats()))
             };
         let results: Vec<_> = std::thread::scope(|scope| {
@@ -401,39 +387,18 @@ impl<'a> AtpgDriver<'a> {
         replayer: &TestReplayer<'_>,
         speculative: Vec<Option<FaultOutcome>>,
         mut timing: IncrementalStats,
-        speculated: bool,
     ) -> Result<CampaignResult, AtpgError> {
         let _span = ssdm_obs::span("atpg.resolve");
-        // Campaign-scoped counter instances under stable names: the
-        // public `AtpgStats` is assembled as a view of their values, and
-        // the registry sums every campaign a process runs under the same
-        // `atpg.campaign.*` names.
-        let detected = ssdm_obs::counter("atpg.campaign.detected");
-        let dropped = ssdm_obs::counter("atpg.campaign.dropped");
-        let undetectable = ssdm_obs::counter("atpg.campaign.undetectable");
-        let aborted = ssdm_obs::counter("atpg.campaign.aborted");
-        let heartbeat = ssdm_obs::progress::heartbeat(|| "atpg.resolve".to_string());
+        let mut stats = AtpgStats::default();
         let atpg = Atpg::new(self.circuit, self.library, self.config.clone());
         let n = sites.len();
         let mut dropped_by: Vec<Option<usize>> = vec![None; n];
         let mut outcomes: Vec<SiteOutcome> = Vec::with_capacity(n);
         for (j, slot) in speculative.into_iter().enumerate() {
-            heartbeat.beat(j as u64);
-            // Progress accounting: when the speculative phase ran, its
-            // shared cursor claimed every site and each claim retired the
-            // site through the worker's heartbeat — drop-skips included,
-            // even though those leave no outcome behind. The resolve lane
-            // therefore never counts after a parallel pass (not even for
-            // sites it re-decides); on serial campaigns it retires each
-            // site itself.
-            let fresh = !speculated;
             if let Some(by) = dropped_by[j] {
-                detected.incr();
-                dropped.incr();
+                stats.detected += 1;
+                stats.dropped += 1;
                 outcomes.push(SiteOutcome::Dropped { by });
-                if fresh {
-                    heartbeat.done();
-                }
                 continue;
             }
             let outcome = match slot {
@@ -452,30 +417,29 @@ impl<'a> AtpgDriver<'a> {
             }
             outcomes.push(match outcome {
                 FaultOutcome::Detected(t) => {
-                    detected.incr();
+                    stats.detected += 1;
                     SiteOutcome::Detected(t)
                 }
                 FaultOutcome::Undetectable => {
-                    undetectable.incr();
+                    stats.undetectable += 1;
                     SiteOutcome::Undetectable
                 }
                 FaultOutcome::Aborted => {
-                    aborted.incr();
+                    stats.aborted += 1;
                     SiteOutcome::Aborted
                 }
             });
-            if fresh {
-                heartbeat.done();
-            }
         }
-        heartbeat.finish();
         timing += atpg.timing_stats();
-        let stats = AtpgStats {
-            detected: detected.get() as usize,
-            undetectable: undetectable.get() as usize,
-            aborted: aborted.get() as usize,
-            dropped: dropped.get() as usize,
-        };
+        // The campaign's totals, summed across campaigns in run reports.
+        for (name, n) in [
+            ("atpg.campaign.detected", stats.detected),
+            ("atpg.campaign.dropped", stats.dropped),
+            ("atpg.campaign.undetectable", stats.undetectable),
+            ("atpg.campaign.aborted", stats.aborted),
+        ] {
+            ssdm_obs::counter(name).add(n as u64);
+        }
         Ok(CampaignResult {
             outcomes,
             stats,

@@ -215,7 +215,6 @@ fn write_baseline(
 }
 
 fn bench_atpg_parallel(c: &mut Criterion) {
-    ssdm_bench::serve_from_env();
     let lib = fast_library().expect("library");
     let (circuit, sites) = coupled_bus();
     report_speedup(&circuit, &lib, &sites);

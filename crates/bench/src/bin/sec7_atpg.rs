@@ -33,17 +33,17 @@ fn campaign(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    ssdm_bench::serve_from_env();
-    let lib = full_library()?;
     println!("Section 7 — crosstalk ATPG efficiency, ITR on vs off");
     println!();
     println!(
         "{:<10}{:>7}{:>22}{:>22}",
         "circuit", "faults", "efficiency (no ITR)", "efficiency (ITR)"
     );
-    // The whole experiment runs instrumented; the obs run report (span
-    // tree, counters, histograms) lands next to `BENCH_atpg.json`.
+    // The whole experiment runs instrumented, library load included (a
+    // cold run's report shows characterization); the obs run report
+    // (span tree, counters, histograms) lands next to `BENCH_atpg.json`.
     let (agg_with, agg_without) = ssdm_bench::instrumented_report("sec7_atpg", || {
+        let lib = full_library()?;
         let mut agg_with = AtpgStats::default();
         let mut agg_without = AtpgStats::default();
         for (name, n_sites, backtracks) in [("c17", 20, 12), ("c880s", 30, 12), ("c1355s", 30, 12)]

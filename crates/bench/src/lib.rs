@@ -67,36 +67,6 @@ pub fn instrumented_report<T>(bench: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Starts the live-telemetry HTTP exporter when the `SSDM_OBS_SERVE`
-/// environment variable is set (e.g. `SSDM_OBS_SERVE=127.0.0.1:0`) and
-/// prints the resolved scrape address, so local bench runs and the CI
-/// scrape check can watch `/metrics` and `/healthz` while the harness
-/// runs. Idempotent: the first call binds, later calls are no-ops. When
-/// the variable is unset nothing happens — no listener, no thread — and
-/// the `OBS_*.json` baselines are unaffected either way because
-/// heartbeat state never enters the JSON run report.
-pub fn serve_from_env() {
-    use std::sync::OnceLock;
-    static SERVER: OnceLock<Option<ssdm_obs::ObsServer>> = OnceLock::new();
-    SERVER.get_or_init(|| {
-        let addr = std::env::var("SSDM_OBS_SERVE").ok()?;
-        ssdm_obs::progress::set_enabled(true);
-        match ssdm_obs::serve::serve(addr.as_str()) {
-            Ok(server) => {
-                println!(
-                    "serving obs telemetry on http://{}/metrics (also /snapshot, /healthz)",
-                    server.addr()
-                );
-                Some(server)
-            }
-            Err(e) => {
-                eprintln!("SSDM_OBS_SERVE={addr}: cannot serve: {e}");
-                None
-            }
-        }
-    });
-}
-
 /// Formats one row of right-aligned numeric columns after a left-aligned
 /// label.
 pub fn row(label: &str, values: &[f64]) -> String {

@@ -245,13 +245,20 @@ mod tests {
     use ssdm_cells::{CellLibrary, CharConfig};
     use ssdm_logic::{Tri, V2};
     use ssdm_netlist::suite;
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, MutexGuard, OnceLock};
 
     fn library() -> &'static CellLibrary {
         static LIB: OnceLock<CellLibrary> = OnceLock::new();
         LIB.get_or_init(|| {
             CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
         })
+    }
+
+    /// Held by the tests that touch the process-global `ssdm-obs`
+    /// state, so a reset in one cannot clear the events another records.
+    fn obs_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn sta_result(c: &Circuit) -> ssdm_sta::StaResult {
@@ -495,7 +502,28 @@ mod tests {
     }
 
     #[test]
+    fn stats_are_unchanged_by_obs_reset() {
+        let _obs = obs_lock();
+        let c = suite::c17();
+        let itr = Itr::new(&c, library(), StaConfig::default());
+        let mut a = Assignments::new(c.n_nets());
+        itr.refine(&mut a).unwrap();
+        a.set(c.inputs()[0], V2::transition(Edge::Rise)).unwrap();
+        itr.refine(&mut a).unwrap();
+        let before = itr.stats();
+        assert!(before.full_passes == 1 && before.incremental_passes == 1);
+        ssdm_obs::reset();
+        assert_eq!(itr.stats(), before, "a registry reset changed engine stats");
+        // The engine adds its totals to the registry when it drops.
+        drop(itr);
+        assert!(
+            ssdm_obs::counter_total("sta.incremental.gates_evaluated") >= before.gates_evaluated
+        );
+    }
+
+    #[test]
     fn traced_refinement_records_shrink_provenance() {
+        let _obs = obs_lock();
         let c = suite::c17();
         let itr = Itr::new(&c, library(), StaConfig::default());
         let mut a = Assignments::new(c.n_nets());

@@ -1,8 +1,7 @@
 //! Parsing and regression-diffing of ssdm-obs JSON run reports.
 //!
 //! [`parse_report`] reads a report written by [`crate::Report::to_json`]
-//! — either schema version, `ssdm-obs/1` (no `meta`/`events`) or
-//! `ssdm-obs/2` — and flattens it into comparable scalar metrics:
+//! (schema `ssdm-obs/2`) and flattens it into comparable scalar metrics:
 //!
 //! * `counter:<name>` — counter totals,
 //! * `hist:<name>.mean` / `.p50` / `.p90` / `.p99` / `.count` —
@@ -26,20 +25,20 @@ use crate::json::{self, JsonValue};
 /// A run report flattened to comparable scalars.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedReport {
-    /// Declared schema version (`ssdm-obs/1` or `ssdm-obs/2`).
+    /// Declared schema version (`ssdm-obs/2`).
     pub schema: String,
-    /// Run metadata (empty for v1 reports).
+    /// Run metadata.
     pub meta: BTreeMap<String, String>,
     /// Flattened metrics, keyed `kind:name[.stat]`.
     pub metrics: BTreeMap<String, f64>,
 }
 
-/// Parses a JSON run report (either schema version) into flat metrics.
+/// Parses a JSON run report into flat metrics.
 ///
 /// # Errors
 ///
 /// Returns a message when the text is not JSON, lacks a `schema` field,
-/// or declares a schema other than `ssdm-obs/1` / `ssdm-obs/2`.
+/// or declares a schema other than `ssdm-obs/2`.
 pub fn parse_report(text: &str) -> Result<ParsedReport, String> {
     let root = json::parse(text)?;
     let schema = root
@@ -47,7 +46,7 @@ pub fn parse_report(text: &str) -> Result<ParsedReport, String> {
         .and_then(JsonValue::as_str)
         .ok_or("report lacks a \"schema\" field")?
         .to_string();
-    if schema != "ssdm-obs/1" && schema != "ssdm-obs/2" {
+    if schema != "ssdm-obs/2" {
         return Err(format!("unsupported schema {schema:?}"));
     }
     let mut meta = BTreeMap::new();
@@ -386,18 +385,20 @@ mod tests {
     }
 
     #[test]
-    fn parses_both_schema_versions() {
-        let v1 = r#"{
-  "schema": "ssdm-obs/1",
+    fn rejects_v1_schema_by_name() {
+        let v2 = r#"{
+  "schema": "ssdm-obs/2",
+  "meta": {"git": "abc123"},
   "counters": {"sta.incremental.memo_hits": 18150, "sta.incremental.memo_misses": 0},
   "histograms": {"sta.refine.cone_gates": {"count": 10, "sum": 18160, "min": 1816, "max": 1816, "mean": 1816.000, "p50": 1535, "p90": 1535, "p99": 1535}},
   "spans": {"itr.refine": {"count": 10, "total_us": 10030.487, "self_us": 3083.047, "children": {
     "sta.refine": {"count": 10, "total_us": 6947.440, "self_us": 6947.440, "children": {}}}}},
-  "threads": []
+  "threads": [],
+  "events": []
 }"#;
-        let parsed = parse_report(v1).unwrap();
-        assert_eq!(parsed.schema, "ssdm-obs/1");
-        assert!(parsed.meta.is_empty());
+        let parsed = parse_report(v2).unwrap();
+        assert_eq!(parsed.schema, "ssdm-obs/2");
+        assert_eq!(parsed.meta["git"], "abc123");
         assert_eq!(parsed.metrics["counter:sta.incremental.memo_hits"], 18150.0);
         assert_eq!(parsed.metrics["hist:sta.refine.cone_gates.mean"], 1816.0);
         assert_eq!(
@@ -406,16 +407,12 @@ mod tests {
         );
         assert_eq!(parsed.metrics["derived:memo_hit_rate"], 1.0);
 
-        let v2 = crate::Report {
-            meta: [("git".to_string(), "abc123".to_string())].into(),
-            counters: [("atpg.podem.backtracks".to_string(), 97u64)].into(),
-            ..Default::default()
-        }
-        .to_json();
-        let parsed = parse_report(&v2).unwrap();
-        assert_eq!(parsed.schema, "ssdm-obs/2");
-        assert_eq!(parsed.meta["git"], "abc123");
-        assert_eq!(parsed.metrics["counter:atpg.podem.backtracks"], 97.0);
+        let v1 = v2.replace("ssdm-obs/2", "ssdm-obs/1");
+        let err = parse_report(&v1).unwrap_err();
+        assert!(
+            err.contains("ssdm-obs/1"),
+            "error must name the schema: {err}"
+        );
     }
 
     #[test]

@@ -176,15 +176,6 @@ pub enum Event {
         /// Backtracks spent before aborting.
         backtracks: u64,
     },
-    /// The stall watchdog flagged a worker with no heartbeat for the
-    /// configured interval. Observational only: the worker keeps its
-    /// claim and is unflagged by its next beat.
-    WorkerStall {
-        /// Heartbeat registration index of the stalled worker.
-        worker: u32,
-        /// Milliseconds since the worker's last heartbeat.
-        idle_ms: u64,
-    },
 }
 
 impl Event {
@@ -197,7 +188,6 @@ impl Event {
             Event::AtpgDecision { .. } => "atpg.decision",
             Event::AtpgBacktrack { .. } => "atpg.backtrack",
             Event::AtpgAbort { .. } => "atpg.abort",
-            Event::WorkerStall { .. } => "obs.stall",
         }
     }
 }

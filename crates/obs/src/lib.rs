@@ -1,5 +1,6 @@
-//! Lightweight observability for the SSDM workspace: hierarchical timing
-//! spans, counters, histograms and pluggable reporters.
+//! The SSDM workspace's run recorder: hierarchical timing spans,
+//! counters, histograms and provenance events, rendered after the run as
+//! text, JSON and Chrome-trace reports.
 //!
 //! The engines in this workspace (incremental STA, ITR, the parallel ATPG
 //! driver, the timing simulator, cell characterization) are instrumented
@@ -10,8 +11,12 @@
 //!   no clock read, no allocation, no lock;
 //! * [`Histogram::record`] checks the same flag and returns;
 //! * [`Counter`]s are private atomic cells owned by whoever created them
-//!   (one relaxed `fetch_add` per increment, enabled or not) — they back
-//!   the engines' public statistics structs, which must always count.
+//!   (one relaxed `fetch_add` per increment, enabled or not).
+//!
+//! The engines' public statistics (`IncrementalStats`, `AtpgStats`) are
+//! plain fields of the engines, not registry cells: an engine adds its
+//! totals to the registry when it drops or finishes, so [`reset`] can
+//! never change what an engine returns.
 //!
 //! # Spans
 //!
@@ -46,20 +51,9 @@
 //! report ([`Report::to_json`], schema `ssdm-obs/2`) and a Chrome
 //! trace-event file loadable in Perfetto or `chrome://tracing`
 //! ([`Report::to_chrome_trace`]). The [`diff`] module parses run reports
-//! back (both `ssdm-obs/1` and `/2`) and compares two of them against
+//! back and compares two of them against
 //! relative regression thresholds — the engine behind `ssdm-cli
 //! obs-diff` and the CI perf gate.
-//!
-//! # Live telemetry
-//!
-//! The [`serve`] module exposes the live registry over HTTP
-//! (`/metrics` in Prometheus text exposition, `/snapshot` as the JSON
-//! run report, `/healthz` with per-worker liveness) without pausing
-//! workers, and [`progress`] adds per-worker heartbeat cells, campaign
-//! ETA and a stall watchdog. Both are opt-in: nothing binds a socket or
-//! spawns a thread until [`serve::serve`] / [`progress::set_enabled`] /
-//! [`progress::start_watchdog`] are called, and while the progress layer
-//! is off a [`progress::heartbeat`] costs one relaxed atomic load.
 //!
 //! # Example
 //!
@@ -83,11 +77,8 @@
 pub mod diff;
 pub mod event;
 mod json;
-pub mod progress;
-pub mod prom;
 pub mod registry;
 pub mod report;
-pub mod serve;
 pub mod span;
 
 pub use event::{
@@ -95,7 +86,6 @@ pub use event::{
 };
 pub use registry::{Counter, Histogram, HistogramSnapshot, Registry};
 pub use report::{Report, SpanNode, ThreadReport};
-pub use serve::ObsServer;
 pub use span::{set_thread_label, span, Span, SpanRecord};
 
 /// The process-wide registry every instrumentation call goes through.
@@ -171,12 +161,10 @@ pub fn capture() -> Report {
 }
 
 /// Clears all recorded data: counters (live cells and banked totals),
-/// histograms, span logs, event rings, heartbeat cells and caller-set
-/// metadata. Thread registrations and the enable flags are kept.
+/// histograms, span logs, event rings and caller-set metadata. Thread registrations and the enable flags are kept.
 /// Intended for tests and between independent runs.
 pub fn reset() {
     registry().reset();
-    progress::clear();
 }
 
 #[cfg(test)]

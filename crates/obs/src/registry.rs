@@ -183,25 +183,6 @@ impl Registry {
             .collect()
     }
 
-    /// Raw per-bucket sample counts of every histogram, by name. Bucket
-    /// `b` holds samples in `[2^(b−1), 2^b)` (bucket 0 holds zeros);
-    /// pair with [`bucket_upper_bound`] to render cumulative `le`
-    /// buckets for Prometheus exposition.
-    pub fn histogram_buckets(&self) -> BTreeMap<String, Vec<u64>> {
-        lock(&self.histograms)
-            .iter()
-            .map(|(name, core)| {
-                (
-                    name.clone(),
-                    core.buckets
-                        .iter()
-                        .map(|b| b.load(Ordering::Relaxed))
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
     /// Registers a new per-thread span log and assigns it a stable id.
     pub(crate) fn register_thread(&self) -> Arc<ThreadLog> {
         let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
@@ -241,15 +222,15 @@ impl Registry {
 /// A monotonically increasing counter instance.
 ///
 /// Each call to [`crate::counter`] creates a **private atomic cell**;
-/// the owner increments it contention-free (ATPG workers, incremental-STA
-/// engines). All instances registered under the same dotted name are
-/// summed by [`crate::counter_total`] and in reports — when an instance
-/// drops, its final value is banked so totals stay monotone.
+/// the owner increments it contention-free (ATPG workers, simulators).
+/// All instances registered under the same dotted name are summed by
+/// [`crate::counter_total`] and in reports — when an instance drops, its
+/// final value is banked so totals stay monotone. An engine publishing a
+/// finished total calls `counter(name).add(total)` and drops the handle.
 ///
-/// Counters are deliberately *not* gated on [`crate::enabled`]: they back
-/// always-on statistics (`IncrementalStats`, `AtpgStats`) and one relaxed
-/// `fetch_add` on an uncontended cell is as cheap as the plain integer
-/// field it replaced.
+/// Counters are deliberately *not* gated on [`crate::enabled`]: one
+/// relaxed `fetch_add` on an uncontended cell costs next to nothing, and
+/// totals then hold for uninstrumented runs too.
 #[derive(Debug)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
@@ -375,19 +356,6 @@ fn bucket_of(value: u64) -> usize {
         0
     } else {
         (u64::BITS - value.leading_zeros()) as usize
-    }
-}
-
-/// Inclusive upper bound of histogram bucket `bucket` — the largest
-/// value that lands in it (`2^b − 1`; bucket 0 holds only zero). The
-/// exact `le` threshold of that bucket in Prometheus exposition.
-pub fn bucket_upper_bound(bucket: usize) -> u64 {
-    if bucket == 0 {
-        0
-    } else if bucket >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bucket) - 1
     }
 }
 

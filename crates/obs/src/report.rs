@@ -191,7 +191,7 @@ impl Report {
             out.push_str("counters:\n");
             let width = self.counters.keys().map(String::len).max().unwrap_or(0);
             for (name, value) in &self.counters {
-                let name = crate::prom::sanitize_display(name);
+                let name = sanitize_display(name);
                 let _ = writeln!(out, "  {name:<width$}  {value}");
             }
         }
@@ -204,7 +204,7 @@ impl Report {
                 let _ = writeln!(
                     out,
                     "  {}  {} / {:.1} / {} / {} / {}",
-                    crate::prom::sanitize_display(name),
+                    sanitize_display(name),
                     h.count,
                     h.mean(),
                     h.p50,
@@ -219,11 +219,7 @@ impl Report {
     /// Renders the machine-readable JSON run report (`ssdm-obs/2`
     /// schema): run metadata, counters, histograms, the aggregated span
     /// tree, per-thread summaries and provenance events.
-    ///
-    /// `ssdm-obs/2` is a strict additive extension of `ssdm-obs/1`: the
-    /// `meta` and `events` sections are new, everything else renders
-    /// exactly as before, and v1 reports still parse (see
-    /// [`crate::diff::parse_report`]).
+    /// [`crate::diff::parse_report`] reads it back.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  ");
@@ -477,19 +473,24 @@ fn push_event_json(out: &mut String, record: &EventRecord) {
         Event::AtpgAbort { backtracks } => {
             let _ = write!(out, "\"backtracks\": {backtracks}");
         }
-        Event::WorkerStall { worker, idle_ms } => {
-            let _ = write!(out, "\"worker\": {worker}, \"idle_ms\": {idle_ms}");
-        }
     }
     out.push('}');
 }
 
+/// Replaces control characters in a metric/span name with `_` for
+/// single-line display. Dotted names pass through unchanged, so
+/// well-formed reports render byte-identically.
+fn sanitize_display(name: &str) -> String {
+    name.chars()
+        .map(|c| if c.is_control() { '_' } else { c })
+        .collect()
+}
+
 fn render_text_node(out: &mut String, name: &str, node: &SpanNode, indent: usize) {
     let pad = "  ".repeat(indent + 1);
-    // The display sanitizer is shared with the /metrics exporter: a
-    // span name with embedded control characters cannot break either
-    // the text tree's line structure or the exposition format.
-    let name = crate::prom::sanitize_display(name);
+    // A span name with embedded control characters cannot break the
+    // text tree's line structure.
+    let name = sanitize_display(name);
     let ms = node.total_ns as f64 / 1e6;
     let self_ms = node.self_ns() as f64 / 1e6;
     if node.children.is_empty() {
@@ -541,6 +542,12 @@ mod tests {
             dur_ns,
             depth,
         }
+    }
+
+    #[test]
+    fn display_sanitizer_flattens_control_characters() {
+        assert_eq!(sanitize_display("a\tb\u{1}c"), "a_b_c");
+        assert_eq!(sanitize_display("atpg.worker.0"), "atpg.worker.0");
     }
 
     #[test]

@@ -43,26 +43,15 @@
 //! --metrics-out <file.json>    write the ssdm-obs JSON run report
 //! --trace-out <file.json>      write a Chrome trace-event file
 //!                              (load it at https://ui.perfetto.dev)
-//! --serve <ADDR:PORT>          expose /metrics (Prometheus), /snapshot
-//!                              (live JSON report) and /healthz over HTTP
-//!                              for the duration of the run (port 0 picks
-//!                              an ephemeral port, printed to stderr)
-//! --progress <SECS>            print a one-line campaign progress + ETA
-//!                              update to stderr every SECS seconds
-//! --stall-after <SECS>         watchdog interval: a worker silent this
-//!                              long is flagged (counter + provenance
-//!                              event + one stderr line); default 30,
-//!                              never kills work
 //! ```
 //!
-//! Any of these flags enables instrumentation for the run and prints an
+//! Either flag enables instrumentation for the run and prints an
 //! end-of-run summary table (span tree, counters, histograms) to stderr;
 //! a SIGINT (Ctrl-C) during an instrumented run still writes the
 //! requested reports before exiting with code 130. Campaign outcomes are
 //! bit-identical with and without instrumentation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use std::path::PathBuf;
@@ -99,126 +88,23 @@ fn parse_path_opt(
     }
 }
 
-/// Parses an option taking a positive integer value.
-fn parse_u64_opt(args: &[String], flag: &str) -> Result<Option<u64>, Box<dyn std::error::Error>> {
-    match args.iter().position(|a| a == flag) {
-        Some(idx) => args
-            .get(idx + 1)
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n >= 1)
-            .map(Some)
-            .ok_or_else(|| format!("{flag} needs a positive integer").into()),
-        None => Ok(None),
-    }
-}
-
 /// The observability flags shared by every command.
 #[derive(Debug, Clone, PartialEq)]
 struct ObsArgs {
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
-    serve: Option<String>,
-    progress_secs: Option<u64>,
-    stall_after_secs: Option<u64>,
 }
 
 impl ObsArgs {
     fn parse(args: &[String]) -> Result<ObsArgs, Box<dyn std::error::Error>> {
-        let serve = match args.iter().position(|a| a == "--serve") {
-            Some(idx) => {
-                let addr = args
-                    .get(idx + 1)
-                    .filter(|a| !a.starts_with("--"))
-                    .ok_or("--serve needs ADDR:PORT (e.g. 127.0.0.1:9184)")?;
-                if !addr.contains(':') {
-                    return Err("--serve needs ADDR:PORT (e.g. 127.0.0.1:9184)".into());
-                }
-                Some(addr.clone())
-            }
-            None => None,
-        };
         Ok(ObsArgs {
             metrics_out: parse_path_opt(args, "--metrics-out")?,
             trace_out: parse_path_opt(args, "--trace-out")?,
-            serve,
-            progress_secs: parse_u64_opt(args, "--progress")?,
-            stall_after_secs: parse_u64_opt(args, "--stall-after")?,
         })
     }
 
     fn active(&self) -> bool {
-        self.metrics_out.is_some()
-            || self.trace_out.is_some()
-            || self.serve.is_some()
-            || self.progress_secs.is_some()
-            || self.stall_after_secs.is_some()
-    }
-
-    /// Whether the live progress layer (heartbeats, watchdog, ETA) is
-    /// requested.
-    fn live(&self) -> bool {
-        self.serve.is_some() || self.progress_secs.is_some() || self.stall_after_secs.is_some()
-    }
-
-    /// Starts the live-telemetry side of the run: the HTTP exporter, the
-    /// stall watchdog and the periodic progress printer. Does nothing —
-    /// binds no socket, spawns no thread — unless the matching flags were
-    /// given.
-    fn start(&self) -> Result<ObsSession, Box<dyn std::error::Error>> {
-        let mut session = ObsSession::default();
-        if self.live() {
-            ssdm::obs::progress::set_enabled(true);
-        }
-        if let Some(addr) = &self.serve {
-            let server = ssdm::obs::serve::serve(addr.as_str())
-                .map_err(|e| format!("--serve {addr}: {e}"))?;
-            eprintln!(
-                "serving live telemetry on http://{}/metrics (also /snapshot, /healthz)",
-                server.addr()
-            );
-            session.server = Some(server);
-        }
-        if self.live() {
-            let stall_after = Duration::from_secs(self.stall_after_secs.unwrap_or(30));
-            session.watchdog = Some(ssdm::obs::progress::start_watchdog(
-                stall_after,
-                Some(Box::new(move |w| {
-                    eprintln!(
-                        "ssdm-cli: worker {} has sent no heartbeat for {} s \
-                         (flagged, work continues)",
-                        w.name,
-                        w.idle_ns.unwrap_or(0) / 1_000_000_000
-                    );
-                })),
-            ));
-        }
-        if let Some(secs) = self.progress_secs {
-            let stop = Arc::new(AtomicBool::new(false));
-            let stop_flag = Arc::clone(&stop);
-            let period = Duration::from_secs(secs);
-            session.printer = Some(std::thread::spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::park_timeout(period);
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(p) = ssdm::obs::progress::campaign_progress() {
-                        let eta = p
-                            .eta_ns
-                            .map_or("?".to_string(), |ns| format_secs(ns / 1_000_000_000));
-                        eprintln!(
-                            "progress: {}/{} faults ({:.1}%), elapsed {}, ETA {eta}",
-                            p.done,
-                            p.total,
-                            p.fraction() * 100.0,
-                            format_secs(p.elapsed_ns / 1_000_000_000)
-                        );
-                    }
-                }
-            }));
-            session.printer_stop = Some(stop);
-        }
-        Ok(session)
+        self.metrics_out.is_some() || self.trace_out.is_some()
     }
 
     /// Captures the run report, writes the requested files and prints the
@@ -239,44 +125,6 @@ impl ObsArgs {
         }
         eprint!("{}", report.to_text());
         Ok(())
-    }
-}
-
-/// Renders whole seconds as `MM:SS` / `H:MM:SS`.
-fn format_secs(total: u64) -> String {
-    let (h, m, s) = (total / 3600, (total % 3600) / 60, total % 60);
-    if h > 0 {
-        format!("{h}:{m:02}:{s:02}")
-    } else {
-        format!("{m}:{s:02}")
-    }
-}
-
-/// Live-telemetry handles for one run; stopped before the final report.
-#[derive(Default)]
-struct ObsSession {
-    server: Option<ssdm::obs::ObsServer>,
-    watchdog: Option<ssdm::obs::progress::Watchdog>,
-    printer_stop: Option<Arc<AtomicBool>>,
-    printer: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ObsSession {
-    /// Stops the progress printer, the watchdog and the HTTP exporter.
-    fn stop(mut self) {
-        if let Some(stop) = self.printer_stop.take() {
-            stop.store(true, Ordering::Relaxed);
-        }
-        if let Some(printer) = self.printer.take() {
-            printer.thread().unpark();
-            let _ = printer.join();
-        }
-        if let Some(watchdog) = self.watchdog.take() {
-            watchdog.stop();
-        }
-        if let Some(server) = self.server.take() {
-            server.stop();
-        }
     }
 }
 
@@ -718,29 +566,20 @@ fn main() -> ExitCode {
             "usage: ssdm-cli <sta|gen|atpg|characterize|explain|obs-diff> …  (see crate docs)",
         )?;
         let obs_args = ObsArgs::parse(rest)?;
-        let mut session = None;
         if obs_args.active() {
             ssdm::obs::set_thread_label("main");
             ssdm::obs::set_enabled(true);
             install_sigint_reporter(&obs_args);
-            session = Some(obs_args.start()?);
         }
-        let run = (|| -> Result<(), Box<dyn std::error::Error>> {
-            match cmd.as_str() {
-                "sta" => cmd_sta(rest)?,
-                "gen" => cmd_gen(rest)?,
-                "atpg" => cmd_atpg(rest)?,
-                "characterize" => cmd_characterize(rest)?,
-                "explain" => cmd_explain(rest)?,
-                "obs-diff" => cmd_obs_diff(rest)?,
-                other => return Err(format!("unknown command {other:?}").into()),
-            }
-            Ok(())
-        })();
-        if let Some(session) = session {
-            session.stop();
+        match cmd.as_str() {
+            "sta" => cmd_sta(rest)?,
+            "gen" => cmd_gen(rest)?,
+            "atpg" => cmd_atpg(rest)?,
+            "characterize" => cmd_characterize(rest)?,
+            "explain" => cmd_explain(rest)?,
+            "obs-diff" => cmd_obs_diff(rest)?,
+            other => return Err(format!("unknown command {other:?}").into()),
         }
-        run?;
         obs_args.finish()
     })();
     match result {
@@ -765,11 +604,7 @@ mod tests {
         let parsed = ObsArgs::parse(&args(&["c17", "10", "--jobs", "4"])).unwrap();
         assert_eq!(parsed.metrics_out, None);
         assert_eq!(parsed.trace_out, None);
-        assert_eq!(parsed.serve, None);
-        assert_eq!(parsed.progress_secs, None);
-        assert_eq!(parsed.stall_after_secs, None);
         assert!(!parsed.active());
-        assert!(!parsed.live());
     }
 
     #[test]
@@ -780,65 +615,25 @@ mod tests {
             "m.json",
             "--trace-out",
             "t.json",
-            "--serve",
-            "127.0.0.1:0",
-            "--progress",
-            "5",
-            "--stall-after",
-            "60",
         ]))
         .unwrap();
         assert_eq!(parsed.metrics_out, Some(PathBuf::from("m.json")));
         assert_eq!(parsed.trace_out, Some(PathBuf::from("t.json")));
-        assert_eq!(parsed.serve.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(parsed.progress_secs, Some(5));
-        assert_eq!(parsed.stall_after_secs, Some(60));
         assert!(parsed.active());
-        assert!(parsed.live());
     }
 
     #[test]
     fn each_flag_alone_activates_instrumentation() {
-        for flags in [
-            &["--metrics-out", "m.json"][..],
-            &["--trace-out", "t.json"],
-            &["--serve", "127.0.0.1:0"],
-            &["--progress", "10"],
-            &["--stall-after", "30"],
-        ] {
+        for flags in [&["--metrics-out", "m.json"][..], &["--trace-out", "t.json"]] {
             let parsed = ObsArgs::parse(&args(flags)).unwrap();
             assert!(parsed.active(), "{flags:?} must activate");
         }
-        // ... but only the live-telemetry flags enable the progress layer.
-        assert!(!ObsArgs::parse(&args(&["--metrics-out", "m.json"]))
-            .unwrap()
-            .live());
-        assert!(ObsArgs::parse(&args(&["--progress", "10"])).unwrap().live());
-        assert!(ObsArgs::parse(&args(&["--stall-after", "30"]))
-            .unwrap()
-            .live());
     }
 
     #[test]
     fn obs_args_reject_bad_values() {
         // Missing values.
         assert!(ObsArgs::parse(&args(&["--metrics-out"])).is_err());
-        assert!(ObsArgs::parse(&args(&["--serve"])).is_err());
-        assert!(ObsArgs::parse(&args(&["--progress"])).is_err());
-        // A following flag is not a value.
-        assert!(ObsArgs::parse(&args(&["--serve", "--progress", "5"])).is_err());
-        // --serve needs an ADDR:PORT shape.
-        assert!(ObsArgs::parse(&args(&["--serve", "localhost"])).is_err());
-        // Non-numeric / non-positive intervals.
-        assert!(ObsArgs::parse(&args(&["--progress", "soon"])).is_err());
-        assert!(ObsArgs::parse(&args(&["--progress", "0"])).is_err());
-        assert!(ObsArgs::parse(&args(&["--stall-after", "-3"])).is_err());
-    }
-
-    #[test]
-    fn format_secs_renders_both_shapes() {
-        assert_eq!(format_secs(59), "0:59");
-        assert_eq!(format_secs(61), "1:01");
-        assert_eq!(format_secs(3725), "1:02:05");
+        assert!(ObsArgs::parse(&args(&["--trace-out"])).is_err());
     }
 }

@@ -70,17 +70,14 @@ pub fn unconstrained_participation(n: usize) -> ParticipationMap {
 /// Counters describing how much work the engine has avoided; useful for
 /// benchmark reporting and ATPG diagnostics.
 ///
-/// Every engine instance counts only its own work, so under a
-/// multi-worker driver (each worker owning one engine) the per-worker
-/// snapshots are race-free by construction; campaign totals come from
-/// summing them with `+` / `+=`.
-///
-/// This struct is a *snapshot view*: the engine's live counters are
-/// `ssdm-obs` [`Counter`](ssdm_obs::Counter) instances registered under
-/// the `sta.incremental.*` names, so the same numbers also aggregate
-/// across every engine a process ever built via
-/// [`ssdm_obs::counter_total`] — including engines that have since been
-/// dropped.
+/// Every engine instance counts only its own work in a plain field, so
+/// under a multi-worker driver (each worker owning one engine) the
+/// per-worker values are race-free by construction and no other thread
+/// (not even an `ssdm_obs::reset`) can change them; campaign totals come
+/// from summing them with `+` / `+=`. When an engine drops it adds its
+/// totals to the `ssdm-obs` registry under the `sta.incremental.*` names
+/// ([`IncrementalStats::publish`]), so [`ssdm_obs::counter_total`] and
+/// run reports aggregate every engine a process has finished with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IncrementalStats {
     /// Full passes (first run and explicit full recomputations).
@@ -105,73 +102,71 @@ pub struct IncrementalStats {
     pub state_copies: u64,
 }
 
+impl IncrementalStats {
+    /// The counts under their registry names.
+    fn named(&self) -> [(&'static str, u64); 8] {
+        [
+            ("sta.incremental.full_passes", self.full_passes),
+            (
+                "sta.incremental.incremental_passes",
+                self.incremental_passes,
+            ),
+            ("sta.incremental.dirty_seeds", self.dirty_seeds),
+            ("sta.incremental.gates_evaluated", self.gates_evaluated),
+            ("sta.incremental.memo_hits", self.memo_hits),
+            ("sta.incremental.memo_misses", self.memo_misses),
+            ("sta.incremental.memo_evictions", self.memo_evictions),
+            // The deferred half of the `itr.copy` span: the copy an ITR
+            // result still alive at the next change costs.
+            ("itr.copy.cloned", self.state_copies),
+        ]
+    }
+
+    /// Adds these counts to the `ssdm-obs` registry totals under the
+    /// `sta.incremental.*` names (`state_copies` as `itr.copy.cloned`).
+    /// Engines call it when they drop; a harness reporting on a slice of
+    /// a live engine's work publishes that slice's difference itself.
+    pub fn publish(&self) {
+        for (name, value) in self.named() {
+            ssdm_obs::counter(name).add(value);
+        }
+    }
+
+    /// Combines two readings field by field.
+    fn zip_with(self, rhs: IncrementalStats, f: impl Fn(u64, u64) -> u64) -> IncrementalStats {
+        IncrementalStats {
+            full_passes: f(self.full_passes, rhs.full_passes),
+            incremental_passes: f(self.incremental_passes, rhs.incremental_passes),
+            dirty_seeds: f(self.dirty_seeds, rhs.dirty_seeds),
+            gates_evaluated: f(self.gates_evaluated, rhs.gates_evaluated),
+            memo_hits: f(self.memo_hits, rhs.memo_hits),
+            memo_misses: f(self.memo_misses, rhs.memo_misses),
+            memo_evictions: f(self.memo_evictions, rhs.memo_evictions),
+            state_copies: f(self.state_copies, rhs.state_copies),
+        }
+    }
+}
+
 impl std::ops::Add for IncrementalStats {
     type Output = IncrementalStats;
 
     fn add(self, rhs: IncrementalStats) -> IncrementalStats {
-        IncrementalStats {
-            full_passes: self.full_passes + rhs.full_passes,
-            incremental_passes: self.incremental_passes + rhs.incremental_passes,
-            dirty_seeds: self.dirty_seeds + rhs.dirty_seeds,
-            gates_evaluated: self.gates_evaluated + rhs.gates_evaluated,
-            memo_hits: self.memo_hits + rhs.memo_hits,
-            memo_misses: self.memo_misses + rhs.memo_misses,
-            memo_evictions: self.memo_evictions + rhs.memo_evictions,
-            state_copies: self.state_copies + rhs.state_copies,
-        }
+        self.zip_with(rhs, |a, b| a + b)
+    }
+}
+
+impl std::ops::Sub for IncrementalStats {
+    type Output = IncrementalStats;
+
+    /// The work done between two readings of one engine's statistics.
+    fn sub(self, rhs: IncrementalStats) -> IncrementalStats {
+        self.zip_with(rhs, |a, b| a - b)
     }
 }
 
 impl std::ops::AddAssign for IncrementalStats {
     fn add_assign(&mut self, rhs: IncrementalStats) {
         *self = *self + rhs;
-    }
-}
-
-/// One engine instance's live work counters, registered with the
-/// `ssdm-obs` registry under stable `sta.incremental.*` names. Each
-/// instance owns private atomic cells (an uncontended relaxed `fetch_add`
-/// per event — as cheap as the plain integer fields they replaced), and
-/// the registry sums instances per name, so campaign-wide totals need no
-/// bespoke `Add` plumbing.
-struct EngineCounters {
-    full_passes: ssdm_obs::Counter,
-    incremental_passes: ssdm_obs::Counter,
-    dirty_seeds: ssdm_obs::Counter,
-    gates_evaluated: ssdm_obs::Counter,
-    memo_hits: ssdm_obs::Counter,
-    memo_misses: ssdm_obs::Counter,
-    memo_evictions: ssdm_obs::Counter,
-    state_copies: ssdm_obs::Counter,
-}
-
-impl EngineCounters {
-    fn new() -> EngineCounters {
-        EngineCounters {
-            full_passes: ssdm_obs::counter("sta.incremental.full_passes"),
-            incremental_passes: ssdm_obs::counter("sta.incremental.incremental_passes"),
-            dirty_seeds: ssdm_obs::counter("sta.incremental.dirty_seeds"),
-            gates_evaluated: ssdm_obs::counter("sta.incremental.gates_evaluated"),
-            memo_hits: ssdm_obs::counter("sta.incremental.memo_hits"),
-            memo_misses: ssdm_obs::counter("sta.incremental.memo_misses"),
-            memo_evictions: ssdm_obs::counter("sta.incremental.memo_evictions"),
-            // The deferred half of the `itr.copy` span: the copy an ITR
-            // result still alive at the next change costs.
-            state_copies: ssdm_obs::counter("itr.copy.cloned"),
-        }
-    }
-
-    fn snapshot(&self) -> IncrementalStats {
-        IncrementalStats {
-            full_passes: self.full_passes.get(),
-            incremental_passes: self.incremental_passes.get(),
-            dirty_seeds: self.dirty_seeds.get(),
-            gates_evaluated: self.gates_evaluated.get(),
-            memo_hits: self.memo_hits.get(),
-            memo_misses: self.memo_misses.get(),
-            memo_evictions: self.memo_evictions.get(),
-            state_copies: self.state_copies.get(),
-        }
     }
 }
 
@@ -350,7 +345,7 @@ pub struct IncrementalSta<'a> {
     /// Scratch buffer the serial passes build memo keys in.
     key: Vec<u64>,
     worklist: Worklist,
-    counters: EngineCounters,
+    stats: IncrementalStats,
     primed: bool,
 }
 
@@ -360,7 +355,7 @@ impl std::fmt::Debug for IncrementalSta<'_> {
             .field("circuit", &self.table.circuit().name())
             .field("primed", &self.primed)
             .field("memo_entries", &self.memo.len())
-            .field("stats", &self.counters.snapshot())
+            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -392,7 +387,7 @@ impl<'a> IncrementalSta<'a> {
                 heap: BinaryHeap::new(),
                 queued: vec![false; n],
             },
-            counters: EngineCounters::new(),
+            stats: IncrementalStats::default(),
             primed: false,
         })
     }
@@ -430,7 +425,7 @@ impl<'a> IncrementalSta<'a> {
     /// Evaluates one net through the memo cache; primary inputs bypass it
     /// (their evaluation is cheaper than a probe).
     fn eval_gate(&mut self, idx: usize) -> Result<(LineTiming, DelaysUsed), StaError> {
-        self.counters.gates_evaluated.incr();
+        self.stats.gates_evaluated += 1;
         if self.table.cells(NetId(idx)).is_none() {
             return self.eval_gate_uncached(idx);
         }
@@ -438,7 +433,7 @@ impl<'a> IncrementalSta<'a> {
         self.write_key(idx, &mut key);
         let value = match self.memo.get(&key) {
             Some(hit) => {
-                self.counters.memo_hits.incr();
+                self.stats.memo_hits += 1;
                 Ok(hit)
             }
             None => self
@@ -451,10 +446,10 @@ impl<'a> IncrementalSta<'a> {
 
     /// Records a freshly evaluated gate under its key (a memo miss).
     fn memoize(&mut self, key: Box<[u64]>, value: (LineTiming, DelaysUsed)) {
-        self.counters.memo_misses.incr();
+        self.stats.memo_misses += 1;
         if self.memo.len() >= MEMO_CAP + self.table.circuit().n_nets() {
             self.memo.clear();
-            self.counters.memo_evictions.incr();
+            self.stats.memo_evictions += 1;
         }
         self.memo.insert(key, value);
     }
@@ -466,7 +461,7 @@ impl<'a> IncrementalSta<'a> {
         Arc::make_mut(&mut self.lines)[idx] = lt;
         Arc::make_mut(&mut self.used)[idx] = du;
         if held != (Arc::as_ptr(&self.lines), Arc::as_ptr(&self.used)) {
-            self.counters.state_copies.incr();
+            self.stats.state_copies += 1;
         }
     }
 
@@ -485,7 +480,7 @@ impl<'a> IncrementalSta<'a> {
         assert_eq!(part.len(), circuit.n_nets(), "participation size");
         let _span = ssdm_obs::span("sta.full_pass");
         self.part.copy_from_slice(part);
-        self.counters.full_passes.incr();
+        self.stats.full_passes += 1;
         for id in circuit.topo() {
             let (lt, du) = self.eval_gate(id.index())?;
             self.store(id.index(), lt, du);
@@ -520,7 +515,7 @@ impl<'a> IncrementalSta<'a> {
         assert_eq!(part.len(), circuit.n_nets(), "participation size");
         let _span = ssdm_obs::span("sta.full_pass.parallel");
         self.part.copy_from_slice(part);
-        self.counters.full_passes.incr();
+        self.stats.full_passes += 1;
         run_levels(
             circuit,
             threads,
@@ -535,7 +530,7 @@ impl<'a> IncrementalSta<'a> {
                 Ok((key, lt, du))
             },
             |engine, i, (key, lt, du)| {
-                engine.counters.gates_evaluated.incr();
+                engine.stats.gates_evaluated += 1;
                 if let Some(key) = key {
                     engine.memoize(key, (lt, du));
                 }
@@ -576,7 +571,7 @@ impl<'a> IncrementalSta<'a> {
             return Ok(circuit.n_nets());
         }
         let _span = ssdm_obs::span("sta.refine");
-        self.counters.incremental_passes.incr();
+        self.stats.incremental_passes += 1;
         // Seed tracking only exists to attribute shrink events; skip the
         // allocation entirely on untraced runs.
         let events = ssdm_obs::events_enabled();
@@ -603,7 +598,7 @@ impl<'a> IncrementalSta<'a> {
                 }
             }
         }
-        self.counters.dirty_seeds.add(seeds);
+        self.stats.dirty_seeds += seeds;
         let mut evaluated = 0usize;
         let mut outcome = Ok(());
         while let Some(i) = work.pop() {
@@ -659,10 +654,9 @@ impl<'a> IncrementalSta<'a> {
         }
     }
 
-    /// Work counters accumulated since construction (a point-in-time
-    /// snapshot of this engine's `sta.incremental.*` counters).
+    /// Work counters accumulated since construction.
     pub fn stats(&self) -> IncrementalStats {
-        self.counters.snapshot()
+        self.stats
     }
 
     /// Clones the current state into a [`StaResult`].
@@ -678,6 +672,12 @@ impl<'a> IncrementalSta<'a> {
             self.inverting.to_vec(),
             self.table.model(),
         )
+    }
+}
+
+impl Drop for IncrementalSta<'_> {
+    fn drop(&mut self) {
+        self.stats.publish();
     }
 }
 

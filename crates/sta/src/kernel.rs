@@ -312,7 +312,7 @@ pub(crate) fn run_levels<S: Sync, T: Send>(
     for id in circuit.topo() {
         levels[circuit.level(id)].push(id.index());
     }
-    for (level, ids) in levels.iter().enumerate() {
+    for ids in &levels {
         let chunk = ids.len().div_ceil(threads).max(1);
         let shared: &S = state;
         let eval = &eval;
@@ -325,17 +325,8 @@ pub(crate) fn run_levels<S: Sync, T: Send>(
                         if ssdm_obs::enabled() {
                             ssdm_obs::set_thread_label(format!("sta.worker.{w}"));
                         }
-                        // Heartbeat cells are keyed by name, so the
-                        // per-level thread pools of one pass all
-                        // accumulate into stable `sta.worker.{w}` lanes
-                        // (one relaxed load when the progress layer is
-                        // off).
-                        let heartbeat = ssdm_obs::progress::heartbeat(|| format!("sta.worker.{w}"));
-                        heartbeat.beat(level as u64);
                         let _span = ssdm_obs::span("sta.level");
-                        let out = ids.iter().map(|&i| Ok((i, eval(shared, i)?))).collect();
-                        heartbeat.done();
-                        out
+                        ids.iter().map(|&i| Ok((i, eval(shared, i)?))).collect()
                     })
                 })
                 .collect();

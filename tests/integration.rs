@@ -374,7 +374,7 @@ mod cli {
         let cur = dir.join("ssdm_obs_diff_cur.json");
         let report = |backtracks: u64| {
             format!(
-                r#"{{"schema": "ssdm-obs/1", "counters": {{"atpg.podem.backtracks": {backtracks}}}, "histograms": {{}}, "spans": {{}}, "threads": []}}"#
+                r#"{{"schema": "ssdm-obs/2", "counters": {{"atpg.podem.backtracks": {backtracks}}}, "histograms": {{}}, "spans": {{}}, "threads": []}}"#
             )
         };
         std::fs::write(&base, report(100)).unwrap();
@@ -430,12 +430,12 @@ mod cli {
         // shape of a span or counter silently compiled out.
         std::fs::write(
             &base,
-            r#"{"schema": "ssdm-obs/1", "counters": {"atpg.podem.backtracks": 100, "atpg.sites.dropped": 40}, "histograms": {}, "spans": {}, "threads": []}"#,
+            r#"{"schema": "ssdm-obs/2", "counters": {"atpg.podem.backtracks": 100, "atpg.sites.dropped": 40}, "histograms": {}, "spans": {}, "threads": []}"#,
         )
         .unwrap();
         std::fs::write(
             &cur,
-            r#"{"schema": "ssdm-obs/1", "counters": {"atpg.podem.backtracks": 100}, "histograms": {}, "spans": {}, "threads": []}"#,
+            r#"{"schema": "ssdm-obs/2", "counters": {"atpg.podem.backtracks": 100}, "histograms": {}, "spans": {}, "threads": []}"#,
         )
         .unwrap();
         let base = base.to_str().unwrap();

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests: invariants the paper's method relies
 //! on, exercised with randomized circuits, stimuli and assignments.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use ssdm::cells::{CellLibrary, CharConfig};
@@ -17,37 +17,6 @@ fn library() -> &'static CellLibrary {
     LIB.get_or_init(|| {
         CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
     })
-}
-
-/// Held by every test that runs an ATPG campaign. A campaign announces
-/// itself to the process-global progress layer, which clears the
-/// heartbeat cells whenever that layer is on; without the lock, a
-/// campaign in one test could wipe the cells another test is scraping.
-fn campaign_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One live-telemetry exporter shared by every instrumented proptest case,
-/// bound lazily on an ephemeral port.
-fn exporter() -> &'static ssdm::obs::ObsServer {
-    static SERVER: OnceLock<ssdm::obs::ObsServer> = OnceLock::new();
-    SERVER.get_or_init(|| {
-        ssdm::obs::serve::serve("127.0.0.1:0").expect("bind ephemeral exporter port")
-    })
-}
-
-/// Minimal GET against the exporter; returns the response body.
-fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to exporter");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.to_string())
-        .unwrap_or(response)
 }
 
 proptest! {
@@ -282,7 +251,6 @@ proptest! {
     #[test]
     fn parallel_atpg_driver_matches_serial(seed in 0u64..100, jobs in 2usize..8) {
         use ssdm::atpg::{AtpgConfig, AtpgDriver};
-        let _campaigns = campaign_lock();
         use ssdm::netlist::coupling_sites;
         let cfg = GeneratorConfig::iscas_like("par", 6, 3, 20, seed);
         let circuit = generate(&cfg);
@@ -305,14 +273,12 @@ proptest! {
 
     /// Enabling `ssdm-obs` instrumentation never changes what a campaign
     /// decides: per-site outcomes and statistics are bit-identical with
-    /// spans, histograms, counters, worker heartbeats AND a live
-    /// `/metrics` exporter scraping mid-suite, at 1, 2 and 8 workers.
+    /// spans, histograms and counters on — and with another thread
+    /// resetting the registry throughout the run — at 1, 2 and 8 workers.
     #[test]
     fn instrumentation_never_changes_campaign_outcomes(seed in 0u64..100) {
         use ssdm::atpg::{AtpgConfig, AtpgDriver};
         use ssdm::netlist::coupling_sites;
-        let _campaigns = campaign_lock();
-        let server = exporter();
         let cfg = GeneratorConfig::iscas_like("obs", 6, 3, 20, seed);
         let circuit = generate(&cfg);
         let lib = library();
@@ -327,18 +293,20 @@ proptest! {
                 .run(&sites)
                 .unwrap();
             ssdm::obs::set_enabled(true);
-            ssdm::obs::progress::set_enabled(true);
-            let instrumented = AtpgDriver::new(&circuit, lib, config.clone())
-                .with_jobs(jobs)
-                .run(&sites);
-            // Scrape while heartbeat cells are populated; the exporter
-            // answers from atomics and must not disturb the campaign.
-            let metrics = scrape(server.addr(), "/metrics");
-            prop_assert!(metrics.contains("# TYPE ssdm_build_info gauge"));
-            prop_assert!(metrics.contains("ssdm_worker_done_total"), "worker gauges missing:\n{}", metrics);
-            ssdm::obs::progress::set_enabled(false);
+            let instrumented = std::thread::scope(|scope| {
+                let run = scope.spawn(|| {
+                    AtpgDriver::new(&circuit, lib, config.clone())
+                        .with_jobs(jobs)
+                        .run(&sites)
+                });
+                while !run.is_finished() {
+                    ssdm::obs::reset();
+                    std::thread::yield_now();
+                }
+                run.join()
+            });
             ssdm::obs::set_enabled(false);
-            let instrumented = instrumented.unwrap();
+            let instrumented = instrumented.expect("campaign panicked").unwrap();
             prop_assert_eq!(
                 &plain.outcomes, &instrumented.outcomes,
                 "outcomes diverged under instrumentation at jobs {}", jobs
