@@ -6,6 +6,9 @@ use ssdm_netlist::NetId;
 use crate::error::LogicError;
 use crate::value::{TransState, V2};
 
+/// The nets changed since the last closure, first frame then second.
+pub(crate) type Pending = [Vec<NetId>; 2];
+
 /// Two-frame values for every net of a circuit.
 ///
 /// Values only ever *refine* (x → 0/1); [`Assignments::set`] intersects
@@ -13,17 +16,19 @@ use crate::value::{TransState, V2};
 /// give ATPG cheap backtracking.
 ///
 /// The store also remembers whether its values are closed under
-/// [`crate::imply`] and which nets [`Assignments::set`] changed since, so
-/// the next implication only revisits the gates around those nets.
+/// [`crate::imply`] and which frames of which nets [`Assignments::set`]
+/// changed since, so the next implication only revisits the gates around
+/// those nets, in those frames.
 /// Closure is relative to the circuit the store was last implied against:
 /// implying one store against two different circuits is not supported.
 /// Clones keep this bookkeeping; `==` compares values only.
 #[derive(Debug, Clone)]
 pub struct Assignments {
     values: Vec<V2>,
-    /// Nets whose value [`Assignments::set`] changed since the store was
-    /// last closed (recorded only while `closed` holds).
-    pending: Vec<NetId>,
+    /// Per frame (first, second), the nets whose value in that frame
+    /// [`Assignments::set`] changed since the store was last closed
+    /// (recorded only while `closed` holds).
+    pending: Pending,
     /// True when `values` is a fixpoint of implication (up to `pending`).
     closed: bool,
 }
@@ -42,7 +47,7 @@ impl Assignments {
     pub fn new(n: usize) -> Assignments {
         Assignments {
             values: vec![V2::XX; n],
-            pending: Vec::new(),
+            pending: Pending::default(),
             closed: true,
         }
     }
@@ -82,12 +87,18 @@ impl Assignments {
             .ok_or(LogicError::BadNet { net, n })?;
         match slot.meet(value) {
             Some(merged) => {
-                let changed = merged != *slot;
+                let first = merged.first != slot.first;
+                let second = merged.second != slot.second;
                 *slot = merged;
-                if changed && self.closed {
-                    self.pending.push(net);
+                if self.closed {
+                    if first {
+                        self.pending[0].push(net);
+                    }
+                    if second {
+                        self.pending[1].push(net);
+                    }
                 }
-                Ok(changed)
+                Ok(first || second)
             }
             None => Err(LogicError::Conflict { net }),
         }
@@ -115,19 +126,27 @@ impl Assignments {
         &self.values
     }
 
-    /// The nets implication must revisit: `Some` of the nets changed since
-    /// the store was last closed, or `None` when every gate must be
-    /// revisited. Leaves the store unclosed until [`Assignments::close`].
-    pub(crate) fn take_pending(&mut self) -> Option<Vec<NetId>> {
+    /// Mutable raw values, for implication to refine in place. Only
+    /// [`crate::imply`] calls it, between [`Assignments::take_pending`]
+    /// and [`Assignments::close`], so the bookkeeping needs no update.
+    pub(crate) fn values_mut(&mut self) -> &mut [V2] {
+        &mut self.values
+    }
+
+    /// What implication must revisit: `Some` of the nets changed in each
+    /// frame since the store was last closed, or `None` when every gate
+    /// must be revisited in both frames. Leaves the store unclosed until
+    /// [`Assignments::close`].
+    pub(crate) fn take_pending(&mut self) -> Option<Pending> {
         let pending = std::mem::take(&mut self.pending);
         let closed = std::mem::replace(&mut self.closed, false);
         closed.then_some(pending)
     }
 
     /// Marks the values as a fixpoint of implication, handing back the
-    /// (emptied) pending buffer so its allocation is reused.
-    pub(crate) fn close(&mut self, mut pending: Vec<NetId>) {
-        pending.clear();
+    /// pending buffers (emptied here) so their allocations are reused.
+    pub(crate) fn close(&mut self, mut pending: Pending) {
+        pending.iter_mut().for_each(Vec::clear);
         self.pending = pending;
         self.closed = true;
     }
@@ -187,11 +206,28 @@ mod tests {
         let mut a = Assignments::new(2);
         a.set(NetId(0), V2::steady(true)).unwrap();
         let mut b = a.clone();
-        b.pending.clear();
+        b.pending = Pending::default();
         b.closed = false;
         assert_eq!(a, b);
         b.set(NetId(1), V2::steady(true)).unwrap();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn set_records_the_frames_it_changes() {
+        let mut a = Assignments::new(3);
+        a.set(NetId(0), V2::parse("0x").unwrap()).unwrap();
+        a.set(NetId(1), V2::parse("x1").unwrap()).unwrap();
+        a.set(NetId(2), V2::parse("10").unwrap()).unwrap();
+        // Refining a frame that is already known records nothing.
+        a.set(NetId(0), V2::parse("01").unwrap()).unwrap();
+        assert_eq!(
+            a.take_pending(),
+            Some([vec![NetId(0), NetId(2)], vec![NetId(1), NetId(2), NetId(0)]])
+        );
+        // An unclosed store records nothing: every gate is revisited.
+        a.set(NetId(1), V2::steady(true)).unwrap();
+        assert_eq!(a.take_pending(), None);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Forward/backward three-valued implication to a fixpoint, applied to
 //! both time frames independently.
 
+use std::cell::Cell;
+
 use ssdm_core::Edge;
-use ssdm_netlist::{Circuit, GateType, NetId};
+use ssdm_netlist::{Circuit, Gate, GateType, NetId};
 
 use crate::assign::Assignments;
 use crate::error::LogicError;
@@ -14,16 +16,18 @@ use crate::value::{Tri, V2};
 /// of its fan-ins. Backward: when an output value pins its inputs (e.g. a
 /// NAND at `0` forces all inputs to `1`; a NAND at `1` with all-but-one
 /// inputs at `1` forces the last to `0`), those inputs are refined too.
-/// Frames are independent for combinational circuits, so each rule runs on
-/// both frames.
+/// Frames are independent for combinational circuits: no rule of one
+/// frame reads a value of the other, so each frame is implied on its own.
 ///
 /// Implication is event-driven. When `assignments` was closed by an
 /// earlier successful call (or is fresh from [`Assignments::new`]), only
 /// the gates around the nets [`Assignments::set`] changed since are
-/// revisited, so a call on an already-implied store costs O(1). After a
-/// conflict, the next call revisits every gate. Every rule is monotone,
-/// so the fixpoint — and whether a conflict occurs — does not depend on
-/// the order gates are revisited in.
+/// revisited, and only in the frames that changed: a PODEM decision that
+/// sets one frame of one input costs only that frame's cone, and a call
+/// on an already-implied store costs O(1). After a conflict, the next
+/// call revisits every gate in both frames. Every rule is monotone, so
+/// the fixpoint — and whether a conflict occurs — does not depend on the
+/// order gates or frames are revisited in.
 ///
 /// # Errors
 ///
@@ -32,45 +36,85 @@ use crate::value::{Tri, V2};
 /// The store is then left partially implied; the net named in the error
 /// is diagnostic only.
 pub fn imply(circuit: &Circuit, assignments: &mut Assignments) -> Result<(), LogicError> {
-    let n = circuit.n_nets();
     let pending = assignments.take_pending();
-    if pending.as_ref().is_some_and(Vec::is_empty) {
-        assignments.close(pending.unwrap_or_default());
-        return Ok(());
-    }
-    // Work queue of gates to (re)process: the gates around each changed
-    // net of a closed store, otherwise every gate.
-    let mut queue: Vec<usize> = Vec::new();
-    let mut queued = vec![false; n];
-    match &pending {
-        Some(nets) => {
-            for &net in nets {
-                enqueue_around(circuit, net, &mut queue, &mut queued);
-            }
-        }
-        None => {
-            queue.extend(0..n);
-            queued.fill(true);
-        }
-    }
-    let mut changed = Vec::new();
-    let mut head = 0;
-    while head < queue.len() {
-        let gi = queue[head];
-        head += 1;
-        queued[gi] = false;
-        process_gate(circuit, assignments, NetId(gi), &mut changed)?;
-        for net in changed.drain(..) {
-            enqueue_around(circuit, net, &mut queue, &mut queued);
-        }
-        // Compact the queue occasionally to bound memory on big circuits.
-        if head > 4 * n {
-            queue.drain(..head);
-            head = 0;
-        }
-    }
+    let seeds = |frame: usize| pending.as_ref().map(|p| p[frame].as_slice());
+    let values = assignments.values_mut();
+    // Taken for the call and put back after it: a call that panics drops
+    // its worklist, so no later call inherits half-run state.
+    let mut w = WORKLIST.take();
+    let implied = w
+        .run::<false>(circuit, values, seeds(0))
+        .and_then(|()| w.run::<true>(circuit, values, seeds(1)));
+    WORKLIST.set(w);
+    implied?;
     assignments.close(pending.unwrap_or_default());
     Ok(())
+}
+
+thread_local! {
+    /// Per-thread worklist, reused across calls so an implication
+    /// allocates nothing once the buffers have grown to the circuit.
+    static WORKLIST: Cell<Worklist> = Cell::default();
+}
+
+/// The gates of one frame still to (re)visit. Between calls `queue` is
+/// empty and every `queued` flag is false.
+#[derive(Default)]
+struct Worklist {
+    queue: Vec<usize>,
+    queued: Vec<bool>,
+}
+
+impl Worklist {
+    /// Implies frame `SECOND` to its fixpoint, starting from the gates
+    /// around `seeds` (the nets changed in this frame since the store was
+    /// closed), or from every gate when `seeds` is `None`.
+    fn run<const SECOND: bool>(
+        &mut self,
+        circuit: &Circuit,
+        values: &mut [V2],
+        seeds: Option<&[NetId]>,
+    ) -> Result<(), LogicError> {
+        let n = circuit.n_nets();
+        self.queued.resize(n, false);
+        let Worklist { queue, queued } = self;
+        match seeds {
+            Some(nets) => {
+                for &net in nets {
+                    enqueue_around(circuit, net, queue, queued);
+                }
+            }
+            None => {
+                queue.extend(0..n);
+                queued.fill(true);
+            }
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let gi = queue[head];
+            head += 1;
+            // `gi` stays flagged while its own changes are queued: one
+            // pass of a gate rule leaves that gate's rule satisfied.
+            let visited = gate_rule::<SECOND>(circuit.gate(NetId(gi)), NetId(gi), values, |net| {
+                enqueue_around(circuit, net, queue, queued);
+            });
+            queued[gi] = false;
+            if let Err(e) = visited {
+                for &g in &queue[head..] {
+                    queued[g] = false;
+                }
+                queue.clear();
+                return Err(e);
+            }
+            // Compact the queue occasionally to bound memory on big circuits.
+            if head > 4 * n {
+                queue.drain(..head);
+                head = 0;
+            }
+        }
+        queue.clear();
+        Ok(())
+    }
 }
 
 /// Queues every gate whose rules read `net`: its consumers (forward) and
@@ -88,132 +132,106 @@ fn enqueue_around(circuit: &Circuit, net: NetId, queue: &mut Vec<usize>, queued:
     }
 }
 
-/// One forward + backward pass on the gate driving `id`; pushes the nets
-/// whose values changed onto `changed`.
-fn process_gate(
-    circuit: &Circuit,
-    a: &mut Assignments,
+/// The value of frame `SECOND` (the first frame when false).
+fn frame<const SECOND: bool>(v: V2) -> Tri {
+    if SECOND {
+        v.second
+    } else {
+        v.first
+    }
+}
+
+/// Refines frame `SECOND` of `net` from `x` to `val` and reports the
+/// change.
+fn write<const SECOND: bool>(
+    values: &mut [V2],
+    net: NetId,
+    val: Tri,
+    changed: &mut impl FnMut(NetId),
+) {
+    let v = &mut values[net.index()];
+    if SECOND {
+        v.second = val;
+    } else {
+        v.first = val;
+    }
+    changed(net);
+}
+
+/// One visit of gate `gate` (driving `id`) in frame `SECOND`: the forward
+/// rule and the backward rules in a single sweep over the fan-ins,
+/// refining values in place and calling `changed` once for each net it
+/// changes. Afterwards the gate's own rules are satisfied, so it need
+/// not be revisited until a neighbour changes one of its nets.
+///
+/// For an AND/NAND/OR/NOR the sweep counts the fan-ins at the controlling
+/// value `cv` and those at `x`. The output is then controlled if any input
+/// is at `cv`, non-controlled if none is `x`, else unknown; an output known
+/// to be non-controlled forces every `x` input to `!cv`; a controlled output
+/// with no input at `cv` forces the last `x` input, if only one is left,
+/// to `cv`.
+fn gate_rule<const SECOND: bool>(
+    gate: &Gate,
     id: NetId,
-    changed: &mut Vec<NetId>,
+    values: &mut [V2],
+    mut changed: impl FnMut(NetId),
 ) -> Result<(), LogicError> {
-    let gate = circuit.gate(id);
-    if gate.gtype == GateType::Input {
-        return Ok(());
-    }
-    for frame in [Frame::First, Frame::Second] {
-        // Forward.
-        let out_val = eval_frame(circuit, a, id, frame);
-        if set_frame(a, id, frame, out_val)? {
-            changed.push(id);
+    let changed = &mut changed;
+    let conflict = LogicError::Conflict { net: id };
+    let out = frame::<SECOND>(values[id.index()]);
+    let Some(cv) = gate.gtype.controlling_value() else {
+        if gate.gtype == GateType::Input {
+            return Ok(());
         }
-        // Backward.
-        backward_frame(circuit, a, id, frame, changed)?;
-    }
-    Ok(())
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Frame {
-    First,
-    Second,
-}
-
-fn get_frame(a: &Assignments, net: NetId, frame: Frame) -> Tri {
-    let v = a.get(net);
-    match frame {
-        Frame::First => v.first,
-        Frame::Second => v.second,
-    }
-}
-
-fn set_frame(a: &mut Assignments, net: NetId, frame: Frame, val: Tri) -> Result<bool, LogicError> {
-    let v2 = match frame {
-        Frame::First => V2::new(val, Tri::X),
-        Frame::Second => V2::new(Tri::X, val),
+        // BUF and NOT: output and input carry the same information.
+        let inverting = gate.gtype.inverting();
+        let f = gate.fanin[0];
+        let input = frame::<SECOND>(values[f.index()]);
+        let forward = if inverting { input.not() } else { input };
+        let merged = out.meet(forward).ok_or(conflict)?;
+        if merged != out {
+            write::<SECOND>(values, id, merged, changed);
+        }
+        if merged != forward {
+            let backward = if inverting { merged.not() } else { merged };
+            write::<SECOND>(values, f, backward, changed);
+        }
+        return Ok(());
     };
-    a.set(net, v2)
-}
-
-/// Three-valued forward evaluation of the gate driving `id` on one frame.
-fn eval_frame(circuit: &Circuit, a: &Assignments, id: NetId, frame: Frame) -> Tri {
-    let gate = circuit.gate(id);
-    let mut vals = gate.fanin.iter().map(|&f| get_frame(a, f, frame));
-    match gate.gtype {
-        GateType::Input => Tri::X,
-        GateType::Buf => vals.next().expect("buf has one input"),
-        GateType::Not => vals.next().expect("not has one input").not(),
-        GateType::And => vals.fold(Tri::One, Tri::and),
-        GateType::Nand => vals.fold(Tri::One, Tri::and).not(),
-        GateType::Or => vals.fold(Tri::Zero, Tri::or),
-        GateType::Nor => vals.fold(Tri::Zero, Tri::or).not(),
+    let (cv_tri, ncv_tri) = (Tri::from_bool(cv), Tri::from_bool(!cv));
+    let (mut n_cv, mut n_x, mut last_x) = (0usize, 0usize, id);
+    // Branch-free: fan-in values are data, not a predictable pattern.
+    for &f in &gate.fanin {
+        let v = frame::<SECOND>(values[f.index()]);
+        let is_x = v == Tri::X;
+        n_cv += usize::from(v == cv_tri);
+        n_x += usize::from(is_x);
+        last_x = if is_x { f } else { last_x };
     }
-}
-
-/// Backward implication on one frame.
-fn backward_frame(
-    circuit: &Circuit,
-    a: &mut Assignments,
-    id: NetId,
-    frame: Frame,
-    changed: &mut Vec<NetId>,
-) -> Result<(), LogicError> {
-    let gate = circuit.gate(id);
-    let out = get_frame(a, id, frame);
-    if out == Tri::X {
+    let controlled = Tri::from_bool(cv ^ gate.gtype.inverting());
+    let forward = match (n_cv, n_x) {
+        (0, 0) => controlled.not(),
+        (0, _) => Tri::X,
+        _ => controlled,
+    };
+    let merged = out.meet(forward).ok_or(conflict)?;
+    if merged != out {
+        write::<SECOND>(values, id, merged, changed);
+    }
+    // With an input at `cv` the output is justified (a non-controlled
+    // output would have conflicted above); with no `x` input the forward
+    // value already fixed everything.
+    if n_cv > 0 || n_x == 0 || merged == Tri::X {
         return Ok(());
     }
-    let out_b = out.to_bool().expect("known");
-    match gate.gtype {
-        GateType::Input => {}
-        GateType::Buf => {
-            let f = gate.fanin[0];
-            if set_frame(a, f, frame, out)? {
-                changed.push(f);
-            }
+    if merged == controlled {
+        if n_x == 1 {
+            write::<SECOND>(values, last_x, cv_tri, changed);
         }
-        GateType::Not => {
-            let f = gate.fanin[0];
-            if set_frame(a, f, frame, out.not())? {
-                changed.push(f);
-            }
-        }
-        GateType::And | GateType::Nand | GateType::Or | GateType::Nor => {
-            let cv = gate
-                .gtype
-                .controlling_value()
-                .expect("multi-input gates have a controlling value");
-            // Output value produced when every input is non-controlling.
-            let all_noncontrolled_out = !cv ^ gate.gtype.inverting();
-            if out_b == all_noncontrolled_out {
-                // Only possible when every input is at the non-controlling
-                // value.
-                for &f in &gate.fanin {
-                    if set_frame(a, f, frame, Tri::from_bool(!cv))? {
-                        changed.push(f);
-                    }
-                }
-            } else {
-                // Some input carries the controlling value; if exactly one
-                // candidate remains, it is forced.
-                let mut unknown = None;
-                let mut n_unknown_or_cv = 0;
-                for &f in &gate.fanin {
-                    match get_frame(a, f, frame).to_bool() {
-                        Some(v) if v == cv => return Ok(()), // already justified
-                        Some(_) => {}
-                        None => {
-                            unknown = Some(f);
-                            n_unknown_or_cv += 1;
-                        }
-                    }
-                }
-                match (n_unknown_or_cv, unknown) {
-                    (0, _) => return Err(LogicError::Conflict { net: id }),
-                    (1, Some(f)) if set_frame(a, f, frame, Tri::from_bool(cv))? => {
-                        changed.push(f);
-                    }
-                    _ => {}
-                }
+    } else {
+        for &f in &gate.fanin {
+            if frame::<SECOND>(values[f.index()]) == Tri::X {
+                write::<SECOND>(values, f, ncv_tri, changed);
             }
         }
     }
@@ -281,23 +299,153 @@ pub fn edges_of(values: &[V2]) -> Vec<Option<Edge>> {
         .collect()
 }
 
+/// The two-pass per-frame rules the single-pass [`gate_rule`] replaced,
+/// kept as an independent reference: a forward evaluation, then the
+/// backward rules read back through [`Assignments::set`]. It shares no
+/// rule code with production.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Frame {
+        First,
+        Second,
+    }
+
+    fn get_frame(a: &Assignments, net: NetId, frame: Frame) -> Tri {
+        let v = a.get(net);
+        match frame {
+            Frame::First => v.first,
+            Frame::Second => v.second,
+        }
+    }
+
+    fn set_frame(
+        a: &mut Assignments,
+        net: NetId,
+        frame: Frame,
+        val: Tri,
+    ) -> Result<bool, LogicError> {
+        let v2 = match frame {
+            Frame::First => V2::new(val, Tri::X),
+            Frame::Second => V2::new(Tri::X, val),
+        };
+        a.set(net, v2)
+    }
+
+    /// One forward + backward pass on the gate driving `id` in `frame`.
+    pub(super) fn process_gate_frame(
+        circuit: &Circuit,
+        a: &mut Assignments,
+        id: NetId,
+        frame: Frame,
+    ) -> Result<(), LogicError> {
+        if circuit.gate(id).gtype == GateType::Input {
+            return Ok(());
+        }
+        let out_val = eval_frame(circuit, a, id, frame);
+        set_frame(a, id, frame, out_val)?;
+        backward_frame(circuit, a, id, frame)
+    }
+
+    /// Three-valued forward evaluation of the gate driving `id` on one frame.
+    fn eval_frame(circuit: &Circuit, a: &Assignments, id: NetId, frame: Frame) -> Tri {
+        let gate = circuit.gate(id);
+        let mut vals = gate.fanin.iter().map(|&f| get_frame(a, f, frame));
+        match gate.gtype {
+            GateType::Input => Tri::X,
+            GateType::Buf => vals.next().expect("buf has one input"),
+            GateType::Not => vals.next().expect("not has one input").not(),
+            GateType::And => vals.fold(Tri::One, Tri::and),
+            GateType::Nand => vals.fold(Tri::One, Tri::and).not(),
+            GateType::Or => vals.fold(Tri::Zero, Tri::or),
+            GateType::Nor => vals.fold(Tri::Zero, Tri::or).not(),
+        }
+    }
+
+    /// Backward implication on one frame.
+    fn backward_frame(
+        circuit: &Circuit,
+        a: &mut Assignments,
+        id: NetId,
+        frame: Frame,
+    ) -> Result<(), LogicError> {
+        let gate = circuit.gate(id);
+        let out = get_frame(a, id, frame);
+        if out == Tri::X {
+            return Ok(());
+        }
+        let out_b = out.to_bool().expect("known");
+        match gate.gtype {
+            GateType::Input => {}
+            GateType::Buf => {
+                set_frame(a, gate.fanin[0], frame, out)?;
+            }
+            GateType::Not => {
+                set_frame(a, gate.fanin[0], frame, out.not())?;
+            }
+            GateType::And | GateType::Nand | GateType::Or | GateType::Nor => {
+                let cv = gate
+                    .gtype
+                    .controlling_value()
+                    .expect("multi-input gates have a controlling value");
+                // Output value produced when every input is non-controlling.
+                let all_noncontrolled_out = !cv ^ gate.gtype.inverting();
+                if out_b == all_noncontrolled_out {
+                    // Only possible when every input is at the
+                    // non-controlling value.
+                    for &f in &gate.fanin {
+                        set_frame(a, f, frame, Tri::from_bool(!cv))?;
+                    }
+                } else {
+                    // Some input carries the controlling value; if exactly
+                    // one candidate remains, it is forced.
+                    let mut unknown = None;
+                    let mut n_unknown_or_cv = 0;
+                    for &f in &gate.fanin {
+                        match get_frame(a, f, frame).to_bool() {
+                            Some(v) if v == cv => return Ok(()), // already justified
+                            Some(_) => {}
+                            None => {
+                                unknown = Some(f);
+                                n_unknown_or_cv += 1;
+                            }
+                        }
+                    }
+                    match (n_unknown_or_cv, unknown) {
+                        (0, _) => return Err(LogicError::Conflict { net: id }),
+                        (1, Some(f)) => {
+                            set_frame(a, f, frame, Tri::from_bool(cv))?;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{process_gate_frame, Frame};
     use super::*;
     use proptest::prelude::*;
-    use ssdm_netlist::{generate, suite, GeneratorConfig};
+    use ssdm_netlist::{generate, suite, CircuitBuilder, GeneratorConfig};
 
-    /// The oracle for event-driven implication: every gate, in index order,
-    /// round after round until a whole round changes nothing — no worklist
-    /// and no bookkeeping.
+    /// The oracle for event-driven implication: the reference rules of
+    /// every gate in both frames, in index order, round after round until
+    /// a whole round changes nothing — no worklist, no frame split and no
+    /// bookkeeping.
     fn imply_from_scratch(c: &Circuit, a: &mut Assignments) -> Result<(), LogicError> {
-        let mut changed = Vec::new();
         loop {
             let before = a.values().to_vec();
             for gi in 0..c.n_nets() {
-                process_gate(c, a, NetId(gi), &mut changed)?;
+                for frame in [Frame::First, Frame::Second] {
+                    process_gate_frame(c, a, NetId(gi), frame)?;
+                }
             }
-            changed.clear();
             if a.values() == before.as_slice() {
                 return Ok(());
             }
@@ -327,6 +475,141 @@ mod tests {
             V2::new(Tri::X, v)
         } else {
             V2::new(v, Tri::X)
+        }
+    }
+
+    /// Replays `ops` on a fresh store, checking every [`imply`] against
+    /// the oracle: one-frame decisions on primary inputs, assignments to
+    /// any net (which often force a conflict), snapshots and restores. A
+    /// conflicting branch is abandoned for the last snapshot only every
+    /// other time, so calls on a store left behind by a conflict are
+    /// covered too.
+    fn replay_checked(c: &Circuit, ops: &[u64]) {
+        let mut a = Assignments::new(c.n_nets());
+        let mut snapshots = Vec::new();
+        let mut conflicts = 0usize;
+        for &op in ops {
+            // Low bits pick the step, the next two the frame and value,
+            // the rest the net.
+            let (second, value, index) = (op >> 8 & 1 == 1, op >> 9 & 1 == 1, (op >> 16) as usize);
+            let (net, v) = match op % 12 {
+                // A PODEM decision: one frame of one primary input.
+                0..=5 => (
+                    c.inputs()[index % c.inputs().len()],
+                    frame_value(second, value),
+                ),
+                6 | 7 => (NetId(index % c.n_nets()), frame_value(second, value)),
+                8 | 9 => {
+                    snapshots.push(a.clone());
+                    continue;
+                }
+                _ => {
+                    if let Some(s) = snapshots.pop() {
+                        a = s;
+                    }
+                    continue;
+                }
+            };
+            if a.set(net, v).is_err() {
+                continue;
+            }
+            if imply_checked(c, &mut a).is_err() {
+                conflicts += 1;
+                if conflicts.is_multiple_of(2) {
+                    a = snapshots
+                        .last()
+                        .cloned()
+                        .unwrap_or_else(|| Assignments::new(c.n_nets()));
+                }
+            }
+        }
+    }
+
+    /// Every value the reference rules see in one frame of a one-gate
+    /// circuit: `nets` gate inputs plus the output, each `0`, `1` or `x`.
+    fn tri_combinations(nets: usize) -> impl Iterator<Item = Vec<Tri>> {
+        (0..3usize.pow(nets as u32)).map(move |code| {
+            (0..nets)
+                .map(|k| Tri::ALL[code / 3usize.pow(k as u32) % 3])
+                .collect()
+        })
+    }
+
+    /// Checks the single-pass rule against the reference rules on every
+    /// `{0,1,x}` combination of one gate's pins and output in one frame.
+    fn check_gate_exhaustively(gtype: GateType, pins: &[usize], distinct: usize) {
+        let mut b = CircuitBuilder::new("gate");
+        let names: Vec<String> = (0..distinct).map(|k| format!("i{k}")).collect();
+        for name in &names {
+            b.input(name.as_str());
+        }
+        let fanin: Vec<&str> = pins.iter().map(|&k| names[k].as_str()).collect();
+        b.gate("g", gtype, &fanin).unwrap().output("g");
+        let c = b.build().unwrap();
+        let g = c.find("g").unwrap();
+        let mut nets: Vec<NetId> = names.iter().map(|n| c.find(n).unwrap()).collect();
+        nets.push(g);
+        for combo in tri_combinations(nets.len()) {
+            for frame in [Frame::First, Frame::Second] {
+                let second = frame == Frame::Second;
+                // The other frame holds values of its own, which neither
+                // rule may touch.
+                let mut a = Assignments::new(c.n_nets());
+                for (k, (&net, &v)) in nets.iter().zip(&combo).enumerate() {
+                    let other = Tri::ALL[(k + combo.len()) % 3];
+                    let pair = if second {
+                        V2::new(other, v)
+                    } else {
+                        V2::new(v, other)
+                    };
+                    a.set(net, pair).unwrap();
+                }
+                let before = a.values().to_vec();
+                let mut expected = a.clone();
+                let want = process_gate_frame(&c, &mut expected, g, frame);
+                let mut got = before.clone();
+                let mut changed = Vec::new();
+                let rule = |got: &mut [V2], changed: &mut Vec<NetId>| {
+                    let record = |net| changed.push(net);
+                    if second {
+                        gate_rule::<true>(c.gate(g), g, got, record)
+                    } else {
+                        gate_rule::<false>(c.gate(g), g, got, record)
+                    }
+                };
+                let res = rule(&mut got, &mut changed);
+                let case = format!("{gtype} pins {pins:?} {frame:?} values {combo:?}");
+                assert_eq!(res, want, "{case}");
+                if res.is_err() {
+                    continue;
+                }
+                assert_eq!(got, expected.values(), "{case}");
+                let mut moved: Vec<NetId> = (0..c.n_nets())
+                    .map(NetId)
+                    .filter(|n| got[n.index()] != before[n.index()])
+                    .collect();
+                changed.sort();
+                moved.sort();
+                assert_eq!(changed, moved, "changed list of {case}");
+                // One visit leaves the gate's own rules satisfied, which is
+                // why the worklist does not requeue the gate it is visiting.
+                assert_eq!(rule(&mut got, &mut changed), Ok(()), "{case}");
+                assert_eq!(changed, moved, "second visit of {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_pass_rule_matches_reference_rules_exhaustively() {
+        for gtype in [GateType::Buf, GateType::Not] {
+            check_gate_exhaustively(gtype, &[0], 1);
+        }
+        for gtype in [GateType::And, GateType::Nand, GateType::Or, GateType::Nor] {
+            for n in 2..=4 {
+                check_gate_exhaustively(gtype, &(0..n).collect::<Vec<_>>(), n);
+            }
+            // A net on two pins counts twice, as the reference counts it.
+            check_gate_exhaustively(gtype, &[0, 1, 0], 2);
         }
     }
 
@@ -405,6 +688,32 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_call_leaves_no_stale_worklist() {
+        let c = suite::c17();
+        let big = generate(&GeneratorConfig::iscas_like("big", 6, 3, 60, 901));
+        assert!(big
+            .fanouts(NetId(0))
+            .iter()
+            .any(|g| g.index() >= c.n_nets()));
+        // A store too small for the circuit panics mid-run, with gates
+        // of `big` that `c17` does not have still queued.
+        let mut small = Assignments::new(3);
+        small.set(NetId(0), V2::steady(true)).unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = imply(&big, &mut small);
+        }));
+        assert!(panicked.is_err());
+        // The next call on this thread still reaches every gate it must.
+        let mut a = Assignments::new(c.n_nets());
+        for &pi in c.inputs() {
+            a.set(pi, V2::transition(Edge::Rise)).unwrap();
+        }
+        imply_checked(&c, &mut a).unwrap();
+        let truth = simulate_two_frames(&c, &[false; 5], &[true; 5]);
+        assert_eq!(a.values(), truth.as_slice());
+    }
+
+    #[test]
     fn edges_of_maps_values() {
         let vals = vec![
             V2::transition(Edge::Rise),
@@ -453,9 +762,7 @@ mod tests {
         /// Event-driven implication equals from-scratch implication after
         /// every call — values and `Ok`/`Err` alike — through random
         /// decisions in both frames, snapshot/restore and forced
-        /// conflicts. A conflicting branch is abandoned for the last
-        /// snapshot only half the time, so calls on a store left behind
-        /// by a conflict are covered too.
+        /// conflicts ([`replay_checked`]), on small circuits.
         #[test]
         fn event_driven_matches_from_scratch(
             circuit in 0usize..4,
@@ -467,39 +774,7 @@ mod tests {
                     "small", 4 + k, 3, 12 * k + 8, 900 + k as u64,
                 )),
             };
-            let mut a = Assignments::new(c.n_nets());
-            let mut snapshots = Vec::new();
-            let mut conflicts = 0usize;
-            for op in ops {
-                // Low bits pick the step, the next two the frame and value,
-                // the rest the net.
-                let (second, value, index) = (op >> 8 & 1 == 1, op >> 9 & 1 == 1, (op >> 16) as usize);
-                let (net, v) = match op % 12 {
-                    // A PODEM decision: one frame of one primary input.
-                    0..=5 => (c.inputs()[index % c.inputs().len()], frame_value(second, value)),
-                    // An assignment to any net, which often forces a conflict.
-                    6 | 7 => (NetId(index % c.n_nets()), frame_value(second, value)),
-                    8 | 9 => {
-                        snapshots.push(a.clone());
-                        continue;
-                    }
-                    _ => {
-                        if let Some(s) = snapshots.pop() {
-                            a = s;
-                        }
-                        continue;
-                    }
-                };
-                if a.set(net, v).is_err() {
-                    continue;
-                }
-                if imply_checked(&c, &mut a).is_err() {
-                    conflicts += 1;
-                    if conflicts.is_multiple_of(2) {
-                        a = snapshots.last().cloned().unwrap_or_else(|| Assignments::new(c.n_nets()));
-                    }
-                }
-            }
+            replay_checked(&c, &ops);
         }
 
         /// Soundness: implication from a subset of the true values never
@@ -541,6 +816,22 @@ mod tests {
             for id in c.topo() {
                 prop_assert_eq!(a.get(id), truth[id.index()]);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The same check on a suite circuit, as PODEM drives it: mostly
+        /// one frame of one input per call, so one-frame seeding runs on
+        /// cones of hundreds of gates, with the other frame's values
+        /// already implied.
+        #[test]
+        fn one_frame_decisions_match_from_scratch_on_c880s(
+            ops in prop::collection::vec(0u64..u64::MAX, 1..60),
+        ) {
+            let c = suite::synthetic("c880s").expect("suite circuit");
+            replay_checked(&c, &ops);
         }
     }
 }

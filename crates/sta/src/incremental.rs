@@ -180,8 +180,12 @@ const MEMO_CAP: usize = 1 << 18;
 /// Circuits at least this many nets large get a parallel first pass by
 /// default. Below it, spawning threads per topological level costs more
 /// than it saves: on 2 cores a 2-thread full pass of an `iscas_like`
-/// circuit took 2.3× the serial time at 520 nets, broke even near 4k nets
-/// and won from 8k nets on (0.86× at 8k, 0.57× at 100k).
+/// circuit took 2.3× the serial time at 520 nets and broke even near 4k
+/// nets. Those figures predate the memo fill, which the parallel pass
+/// now does serially in its commit. Measured since, on 2 cores at 100k
+/// gates, a memo-filling 2-thread `full_pass_parallel` and the serial
+/// `full_pass` are even: medians 311 and 317 ms over 39 alternating
+/// runs, with the parallel pass faster in 17 of them.
 pub const PARALLEL_THRESHOLD: usize = 8192;
 
 /// One gate's recomputed state in a parallel pass: `(memo key, windows,
