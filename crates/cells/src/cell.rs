@@ -50,15 +50,17 @@ pub struct PairTiming {
 
 /// One input's clamped transition-time corner with what every pair
 /// V-shape through it needs: the corner's cube root and the
-/// to-controlling pin delay at one load. Built by
-/// [`CharacterizedGate::pin_corner`]; the default value (position 0 at a
-/// zero transition time) only fills fixed-capacity arrays.
+/// to-controlling pin delay and output transition time at one load.
+/// Built by [`CharacterizedGate::pin_corner`]; the default value
+/// (position 0 at a zero transition time) only fills fixed-capacity
+/// arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PinCorner {
     position: usize,
     t: Time,
     cbrt: f64,
     delay: Time,
+    ttime: Time,
 }
 
 /// A fully characterized gate.
@@ -140,6 +142,7 @@ impl CharacterizedGate {
     }
 
     /// Cell name (e.g. `"NAND2"`).
+    #[inline]
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -150,6 +153,7 @@ impl CharacterizedGate {
     }
 
     /// Number of inputs.
+    #[inline]
     pub fn n_inputs(&self) -> usize {
         self.n
     }
@@ -170,6 +174,7 @@ impl CharacterizedGate {
     }
 
     /// Input capacitance one pin of this cell presents to its driver.
+    #[inline]
     pub fn input_cap(&self) -> Capacitance {
         Capacitance::from_ff(self.input_cap_ff)
     }
@@ -181,6 +186,7 @@ impl CharacterizedGate {
 
     /// The output edge of the gate's to-controlling response (rising for
     /// NAND, falling for NOR).
+    #[inline]
     pub fn ctrl_out_edge(&self) -> Edge {
         match self.kind {
             GateKind::Nand => Edge::Rise,
@@ -201,6 +207,7 @@ impl CharacterizedGate {
     /// # Errors
     ///
     /// Returns [`CellError::BadPin`] for an out-of-range position.
+    #[inline]
     pub fn pin(&self, out_edge: Edge, position: usize) -> Result<&PinTiming, CellError> {
         self.pins[out_edge.index()]
             .get(position)
@@ -212,6 +219,7 @@ impl CharacterizedGate {
 
     /// Clamps a queried transition time into the characterized range, per
     /// the standard library-characterization practice.
+    #[inline]
     pub fn clamp_t(&self, t: Time) -> Time {
         t.clamp(self.t_lo, self.t_hi)
     }
@@ -221,6 +229,7 @@ impl CharacterizedGate {
     /// # Errors
     ///
     /// Returns [`CellError::BadPin`] for an out-of-range position.
+    #[inline]
     pub fn pin_delay(
         &self,
         out_edge: Edge,
@@ -238,6 +247,7 @@ impl CharacterizedGate {
     /// # Errors
     ///
     /// Returns [`CellError::BadPin`] for an out-of-range position.
+    #[inline]
     pub fn pin_ttime(
         &self,
         out_edge: Edge,
@@ -270,6 +280,7 @@ impl CharacterizedGate {
     /// The pairwise simultaneous record for positions `(i, j)` (order
     /// normalized), or `None` when the pair was not characterized (e.g.
     /// single-input gates).
+    #[inline]
     pub fn pair(&self, a: usize, b: usize) -> Option<&PairTiming> {
         let (i, j) = if a < b { (a, b) } else { (b, a) };
         self.pairs.iter().find(|p| p.i == i && p.j == j)
@@ -321,14 +332,9 @@ impl CharacterizedGate {
         // δ ≫ 0: j is the last (release) input; δ ≪ 0: i is.
         let d_i = self.pin_delay(out_edge, pair.i, ti_c, load)?;
         let d_j = self.pin_delay(out_edge, pair.j, tj_c, load)?;
-        let dload = Time::from_ns(
-            0.5 * (self.pins[out_edge.index()][pair.i].delay_load_slope
-                + self.pins[out_edge.index()][pair.j].delay_load_slope)
-                * (load.as_ff() - self.ref_load_ff),
-        );
+        let dload = self.pair_load_term(out_edge, pair, load, |p| p.delay_load_slope);
         let d0n = pair.d0.eval(ti_c, tj_c) + dload;
-        let sr = pair.sr.eval(ti_c, tj_c).max(Time::ZERO);
-        let syr = pair.syr.eval(ti_c, tj_c).min(Time::ZERO);
+        let (sr, syr) = knees(pair, ti_c, tj_c);
         let v = make_vshape((syr, d_i), (Time::ZERO, d0n), (sr, d_j))?;
         Ok(if mirrored { v.mirrored() } else { v })
     }
@@ -382,27 +388,23 @@ impl CharacterizedGate {
         let (ti_c, tj_c) = (self.clamp_t(ti_n), self.clamp_t(tj_n));
         let d_i = self.pin_delay(out_edge, pair.i, ti_c, load)?;
         let d_j = self.pin_delay(out_edge, pair.j, tj_c, load)?;
-        let dload = Time::from_ns(
-            0.5 * (self.pins[out_edge.index()][pair.i].delay_load_slope
-                + self.pins[out_edge.index()][pair.j].delay_load_slope)
-                * (load.as_ff() - self.ref_load_ff),
-        );
+        let dload = self.pair_load_term(out_edge, pair, load, |p| p.delay_load_slope);
         let d0 = pair.d0.eval(ti_c, tj_c) + dload;
-        let sr = pair.sr.eval(ti_c, tj_c).max(Time::ZERO);
-        let syr = pair.syr.eval(ti_c, tj_c).min(Time::ZERO);
+        let (sr, syr) = knees(pair, ti_c, tj_c);
         let v = make_vshape((syr, d_j), (Time::ZERO, d0), (sr, d_i))?;
         Ok(if mirrored { v.mirrored() } else { v })
     }
 
     /// Prepares input `position`'s transition-time corner `t_in` for
-    /// [`CharacterizedGate::vshape_delay_at`]: the clamped corner, its cube
-    /// root and the to-controlling pin delay there at `load`. A gate
-    /// evaluation builds each corner once and shares it between every
-    /// pair V-shape that uses it.
+    /// [`CharacterizedGate::pair_vshapes_at`]: the clamped corner, its cube
+    /// root and the to-controlling pin delay and transition time there at
+    /// `load`. A gate evaluation builds each corner once and shares it
+    /// between every pair V-shape that uses it.
     ///
     /// # Errors
     ///
     /// Returns [`CellError::BadPin`] for an out-of-range position.
+    #[inline]
     pub fn pin_corner(
         &self,
         position: usize,
@@ -410,45 +412,72 @@ impl CharacterizedGate {
         load: Capacitance,
     ) -> Result<PinCorner, CellError> {
         let t = self.clamp_t(t_in);
+        let edge = self.ctrl_out_edge();
         Ok(PinCorner {
             position,
             t,
             cbrt: t.as_ns().cbrt(),
-            delay: self.pin_delay(self.ctrl_out_edge(), position, t, load)?,
+            delay: self.pin_delay(edge, position, t, load)?,
+            ttime: self.pin_ttime(edge, position, t, load)?,
         })
     }
 
-    /// [`CharacterizedGate::vshape_delay`] for the corners `a` and `b`,
-    /// both prepared by [`CharacterizedGate::pin_corner`] at `load`.
-    /// Bit-identical to `vshape_delay(a.position, b.position, t_a, t_b,
-    /// load)`: it applies the same expressions to the same operands, since
-    /// clamping is idempotent and the cube root deterministic.
+    /// Every V-shape a to-controlling gate evaluation searches for the
+    /// input pair `(a, b)`, from each input's `[S, L]` corners prepared by
+    /// [`CharacterizedGate::pin_corner`] at `load`: the delay shapes
+    /// `delay[ci][cj]` of corners `a[ci]` and `b[cj]`, and the
+    /// transition-time shape at the two `S` corners.
+    ///
+    /// Bit-identical to [`CharacterizedGate::vshape_delay`] and
+    /// [`CharacterizedGate::vshape_ttime`] at those corners: the pair is
+    /// looked up and each load term computed once instead of per shape,
+    /// and the transition-time shape reuses the `(S, S)` delay shape's
+    /// `SR`/`SYR`, but every value is the same expression on the same
+    /// operands (clamping is idempotent, the cube root deterministic).
     ///
     /// # Errors
     ///
     /// Returns [`CellError::BadPin`] when the pair was not characterized.
-    pub fn vshape_delay_at(
+    #[inline]
+    pub fn pair_vshapes_at(
         &self,
-        a: &PinCorner,
-        b: &PinCorner,
+        a: &[PinCorner; 2],
+        b: &[PinCorner; 2],
         load: Capacitance,
-    ) -> Result<VShape, CellError> {
-        let pair = self.pair(a.position, b.position).ok_or(CellError::BadPin {
-            pin: a.position.max(b.position),
-            n: self.n,
-        })?;
-        let mirrored = a.position > b.position;
-        let (ci, cj) = if mirrored { (b, a) } else { (a, b) };
-        let pins = &self.pins[self.ctrl_out_edge().index()];
-        let dload = Time::from_ns(
-            0.5 * (pins[pair.i].delay_load_slope + pins[pair.j].delay_load_slope)
-                * (load.as_ff() - self.ref_load_ff),
-        );
-        let d0 = pair.d0.eval_cbrt(ci.cbrt, cj.cbrt) + dload;
-        let sr = pair.sr.eval(ci.t, cj.t).max(Time::ZERO);
-        let syr = pair.syr.eval(ci.t, cj.t).min(Time::ZERO);
-        let v = make_vshape((syr, cj.delay), (Time::ZERO, d0), (sr, ci.delay))?;
-        Ok(if mirrored { v.mirrored() } else { v })
+    ) -> Result<([[VShape; 2]; 2], VShape), CellError> {
+        if a[0].position > b[0].position {
+            let (delay, ttime) = self.pair_vshapes_at(b, a, load)?;
+            let m = |ci: usize, cj: usize| delay[cj][ci].mirrored();
+            return Ok(([[m(0, 0), m(0, 1)], [m(1, 0), m(1, 1)]], ttime.mirrored()));
+        }
+        let pair = self
+            .pair(a[0].position, b[0].position)
+            .ok_or(CellError::BadPin {
+                pin: b[0].position,
+                n: self.n,
+            })?;
+        let edge = self.ctrl_out_edge();
+        let dload = self.pair_load_term(edge, pair, load, |p| p.delay_load_slope);
+        let (a_s, b_s) = (&a[0], &b[0]);
+        let ss_knees = knees(pair, a_s.t, b_s.t);
+        let mut delay = [[VShape::flat(Time::ZERO); 2]; 2];
+        for (ci, i) in a.iter().enumerate() {
+            for (cj, j) in b.iter().enumerate() {
+                let (sr, syr) = if ci == 0 && cj == 0 {
+                    ss_knees
+                } else {
+                    knees(pair, i.t, j.t)
+                };
+                let d0 = pair.d0.eval_cbrt(i.cbrt, j.cbrt) + dload;
+                delay[ci][cj] = make_vshape((syr, j.delay), (Time::ZERO, d0), (sr, i.delay))?;
+            }
+        }
+        let tload = self.pair_load_term(edge, pair, load, |p| p.ttime_load_slope);
+        let t0 = pair.t0.eval_cbrt(a_s.cbrt, b_s.cbrt) + tload;
+        let (sr, syr) = ss_knees;
+        let s0 = pair.sk_t_min.eval(a_s.t, b_s.t).clamp(syr, sr);
+        let ttime = make_vshape((syr, b_s.ttime), (s0, t0), (sr, a_s.ttime))?;
+        Ok((delay, ttime))
     }
 
     /// The output-transition-time V-shape for the same pair: vertex at
@@ -476,14 +505,9 @@ impl CharacterizedGate {
         let (ti_c, tj_c) = (self.clamp_t(ti_n), self.clamp_t(tj_n));
         let tt_i = self.pin_ttime(out_edge, pair.i, ti_c, load)?;
         let tt_j = self.pin_ttime(out_edge, pair.j, tj_c, load)?;
-        let tload = Time::from_ns(
-            0.5 * (self.pins[out_edge.index()][pair.i].ttime_load_slope
-                + self.pins[out_edge.index()][pair.j].ttime_load_slope)
-                * (load.as_ff() - self.ref_load_ff),
-        );
+        let tload = self.pair_load_term(out_edge, pair, load, |p| p.ttime_load_slope);
         let t0 = pair.t0.eval(ti_c, tj_c) + tload;
-        let sr = pair.sr.eval(ti_c, tj_c).max(Time::ZERO);
-        let syr = pair.syr.eval(ti_c, tj_c).min(Time::ZERO);
+        let (sr, syr) = knees(pair, ti_c, tj_c);
         let s0 = pair.sk_t_min.eval(ti_c, tj_c).clamp(syr, sr);
         let v = make_vshape((syr, tt_j), (s0, t0), (sr, tt_i))?;
         Ok(if mirrored { v.mirrored() } else { v })
@@ -497,6 +521,7 @@ impl CharacterizedGate {
     ///
     /// Returns [`CellError::BadPin`] when `k` is out of range or the floor
     /// was not characterized.
+    #[inline]
     pub fn kway_floor(&self, k: usize, t: Time) -> Result<Time, CellError> {
         let tc = self.clamp_t(t);
         match k {
@@ -520,10 +545,37 @@ impl CharacterizedGate {
     pub fn kway_fits(&self) -> &[Poly1] {
         &self.kway
     }
+
+    /// A pair's load term on `edge`: the mean of its two pins' `slope`
+    /// times the load's offset from the reference load.
+    #[inline]
+    fn pair_load_term(
+        &self,
+        edge: Edge,
+        pair: &PairTiming,
+        load: Capacitance,
+        slope: impl Fn(&PinTiming) -> f64,
+    ) -> Time {
+        let pins = &self.pins[edge.index()];
+        Time::from_ns(
+            0.5 * (slope(&pins[pair.i]) + slope(&pins[pair.j])) * (load.as_ff() - self.ref_load_ff),
+        )
+    }
+}
+
+/// A pair's V-shape knees `(SR, SYR)` at clamped corners in its
+/// normalized orientation, `SR ≥ 0 ≥ SYR`.
+#[inline]
+fn knees(pair: &PairTiming, ti: Time, tj: Time) -> (Time, Time) {
+    (
+        pair.sr.eval(ti, tj).max(Time::ZERO),
+        pair.syr.eval(ti, tj).min(Time::ZERO),
+    )
 }
 
 /// Builds a V-shape, repairing the knee ordering if curve-fit noise pushed
 /// a knee across zero.
+#[inline]
 fn make_vshape(
     left: (Time, Time),
     vertex: (Time, Time),
@@ -759,26 +811,37 @@ pub(crate) mod tests {
 
     proptest::proptest! {
         /// Corners outside `t_range` exercise the clamp before the cube
-        /// root; loads away from `ref_load` exercise the load terms.
+        /// root; loads away from `ref_load` exercise the load terms; both
+        /// pin orders exercise the mirrored orientation.
         #[test]
-        fn vshape_delay_at_is_bit_identical(
+        fn pair_vshapes_at_is_bit_identical(
             cell in 0usize..6,
             i in 0usize..4,
             offset in 0usize..3,
-            t_a in 0.0f64..2.5,
-            t_b in 0.0f64..2.5,
+            t_a_s in 0.0f64..2.5,
+            t_a_l in 0.0f64..2.5,
+            t_b_s in 0.0f64..2.5,
+            t_b_l in 0.0f64..2.5,
             load in 1.0f64..40.0,
         ) {
+            let (t_a, t_b) = ([t_a_s, t_a_l], [t_b_s, t_b_l]);
             let name = ["NAND2", "NAND3", "NAND4", "NOR2", "NOR3", "NOR4"][cell];
             let g = pinned_library().get(name).expect("standard cell");
             let n = g.n_inputs();
             let (i, j) = (i % n, (i % n + 1 + offset % (n - 1)) % n);
-            let (t_a, t_b, load) = (ns(t_a), ns(t_b), Capacitance::from_ff(load));
-            let a = g.pin_corner(i, t_a, load).unwrap();
-            let b = g.pin_corner(j, t_b, load).unwrap();
-            let want = g.vshape_delay(i, j, t_a, t_b, load).unwrap();
-            let got = g.vshape_delay_at(&a, &b, load).unwrap();
-            proptest::prop_assert_eq!(shape_bits(&got), shape_bits(&want), "{} ({}, {})", name, i, j);
+            let load = Capacitance::from_ff(load);
+            let a = t_a.map(|t| g.pin_corner(i, ns(t), load).unwrap());
+            let b = t_b.map(|t| g.pin_corner(j, ns(t), load).unwrap());
+            let (delay, ttime) = g.pair_vshapes_at(&a, &b, load).unwrap();
+            for (ci, cj) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let want = g.vshape_delay(i, j, ns(t_a[ci]), ns(t_b[cj]), load).unwrap();
+                proptest::prop_assert_eq!(
+                    shape_bits(&delay[ci][cj]), shape_bits(&want),
+                    "{} ({}, {}) corner ({}, {})", name, i, j, ci, cj
+                );
+            }
+            let want = g.vshape_ttime(i, j, ns(t_a[0]), ns(t_b[0]), load).unwrap();
+            proptest::prop_assert_eq!(shape_bits(&ttime), shape_bits(&want), "{} ({}, {}) ttime", name, i, j);
         }
 
         /// The two-way floor takes its one cube root once.

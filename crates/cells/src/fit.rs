@@ -40,6 +40,7 @@ impl Poly1 {
     }
 
     /// Evaluates at transition time `t`.
+    #[inline]
     pub fn eval(&self, t: Time) -> Time {
         let x = t.as_ns();
         Time::from_ns(self.k[0] * x * x + self.k[1] * x + self.k[2])
@@ -48,6 +49,7 @@ impl Poly1 {
     /// The vertex abscissa `−k1/(2·k0)`, i.e. the transition time at which
     /// the parabola peaks (concave, `k0 < 0`) or bottoms (convex,
     /// `k0 > 0`). `None` when effectively linear.
+    #[inline]
     pub fn vertex(&self) -> Option<Time> {
         if self.k[0].abs() < 1e-12 {
             None
@@ -59,6 +61,7 @@ impl Poly1 {
     /// The transition time **maximizing** the quadratic over `[lo, hi]`:
     /// the vertex if concave and interior, else the better endpoint. This
     /// is `T*` in the paper's `A^Z_{R,L}` formula.
+    #[inline]
     pub fn argmax_over(&self, lo: Time, hi: Time) -> Time {
         let mut best = (lo, self.eval(lo));
         let at_hi = self.eval(hi);
@@ -79,6 +82,7 @@ impl Poly1 {
     }
 
     /// The transition time **minimizing** the quadratic over `[lo, hi]`.
+    #[inline]
     pub fn argmin_over(&self, lo: Time, hi: Time) -> Time {
         let mut best = (lo, self.eval(lo));
         let at_hi = self.eval(hi);
@@ -130,12 +134,14 @@ impl D0Surface {
     }
 
     /// Evaluates at `(t_x, t_y)`.
+    #[inline]
     pub fn eval(&self, tx: Time, ty: Time) -> Time {
         self.eval_cbrt(tx.as_ns().cbrt(), ty.as_ns().cbrt())
     }
 
     /// Evaluates at precomputed cube roots `x = T_X^⅓`, `y = T_Y^⅓` (ns):
     /// the exact expression [`D0Surface::eval`] applies after taking them.
+    #[inline]
     pub fn eval_cbrt(&self, x: f64, y: f64) -> Time {
         Time::from_ns(self.k[0] * x * y + self.k[1] * x + self.k[2] * y + self.k[3])
     }
@@ -189,6 +195,7 @@ impl Quad2 {
     }
 
     /// Evaluates at `(t_x, t_y)`.
+    #[inline]
     pub fn eval(&self, tx: Time, ty: Time) -> Time {
         let x = tx.as_ns();
         let y = ty.as_ns();

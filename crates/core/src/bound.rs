@@ -36,6 +36,7 @@ impl Bound {
     ///
     /// Returns [`CoreError::InvertedBound`] when `s > l` and
     /// [`CoreError::NotFinite`] when either endpoint is NaN.
+    #[inline]
     pub fn new(s: Time, l: Time) -> Result<Bound, CoreError> {
         if s.is_nan() || l.is_nan() {
             return Err(CoreError::NotFinite {
@@ -56,12 +57,14 @@ impl Bound {
     /// # Panics
     ///
     /// Panics if `t` is NaN.
+    #[inline]
     pub fn point(t: Time) -> Bound {
         assert!(!t.is_nan(), "Bound::point: NaN");
         Bound { s: t, l: t }
     }
 
     /// The whole real line; the starting window before analysis constrains it.
+    #[inline]
     pub fn unbounded() -> Bound {
         Bound {
             s: Time::NEG_INFINITY,
@@ -70,6 +73,7 @@ impl Bound {
     }
 
     /// The tightest bound containing both `a` and `b` even if disjoint.
+    #[inline]
     pub fn hull(a: Time, b: Time) -> Bound {
         Bound {
             s: a.min(b),
@@ -114,6 +118,7 @@ impl Bound {
     }
 
     /// Smallest interval containing both.
+    #[inline]
     pub fn union(&self, other: Bound) -> Bound {
         Bound {
             s: self.s.min(other.s),
@@ -122,6 +127,7 @@ impl Bound {
     }
 
     /// Intersection, or `None` when disjoint.
+    #[inline]
     pub fn intersect(&self, other: Bound) -> Option<Bound> {
         let s = self.s.max(other.s);
         let l = self.l.min(other.l);
@@ -133,6 +139,7 @@ impl Bound {
     }
 
     /// Translates both endpoints by `dt`.
+    #[inline]
     pub fn shift(&self, dt: Time) -> Bound {
         Bound {
             s: self.s + dt,
@@ -141,6 +148,7 @@ impl Bound {
     }
 
     /// Interval sum `[s₁+s₂, l₁+l₂]` (arrival window + delay window).
+    #[inline]
     pub fn add(&self, other: Bound) -> Bound {
         Bound {
             s: self.s + other.s,
@@ -150,6 +158,7 @@ impl Bound {
 
     /// Interval difference `self − other = [s₁−l₂, l₁−s₂]`
     /// (e.g. the window of possible skews between two arrival windows).
+    #[inline]
     pub fn sub(&self, other: Bound) -> Bound {
         Bound {
             s: self.s - other.l,
@@ -158,11 +167,13 @@ impl Bound {
     }
 
     /// The value in the bound closest to `t` (i.e. `t` clamped).
+    #[inline]
     pub fn closest_to(&self, t: Time) -> Time {
         t.clamp(self.s, self.l)
     }
 
     /// True when `other` is a (not necessarily strict) tightening of `self`.
+    #[inline]
     pub fn refines(&self, other: Bound) -> bool {
         self.contains_bound(other)
     }

@@ -52,6 +52,7 @@ impl VShape {
     ///
     /// Returns [`CoreError::MalformedVShape`] unless
     /// `left.0 ≤ vertex.0 ≤ right.0` and all coordinates are finite.
+    #[inline]
     pub fn new(
         left: (Time, Time),
         vertex: (Time, Time),
@@ -77,6 +78,7 @@ impl VShape {
 
     /// A degenerate V-shape that is constant at `value` (used when only a
     /// single input can switch, so skew is irrelevant).
+    #[inline]
     pub fn flat(value: Time) -> VShape {
         VShape {
             left: (Time::ZERO, value),
@@ -90,6 +92,7 @@ impl VShape {
     /// a pair queried in the opposite orientation. Only the three skews are
     /// negated, which is exact, so the mirror of a valid shape is valid and
     /// mirroring twice gives `self` back bit for bit.
+    #[inline]
     pub fn mirrored(&self) -> VShape {
         VShape {
             left: (-self.right.0, self.right.1),
@@ -99,27 +102,32 @@ impl VShape {
     }
 
     /// Left knee `(SYR, DYR)`.
+    #[inline]
     pub fn left_knee(&self) -> (Time, Time) {
         self.left
     }
 
     /// Vertex `(S0, D0)`.
+    #[inline]
     pub fn vertex(&self) -> (Time, Time) {
         self.vertex
     }
 
     /// Right knee `(SR, DR)`.
+    #[inline]
     pub fn right_knee(&self) -> (Time, Time) {
         self.right
     }
 
     /// The δ-simultaneous window `[SYR, SR]` inside which the lagging
     /// transition still affects the output.
+    #[inline]
     pub fn simultaneous_window(&self) -> Bound {
         Bound::new(self.left.0, self.right.0).expect("invariant: left <= right")
     }
 
     /// Evaluates the V-shape at skew `δ`.
+    #[inline]
     pub fn eval(&self, skew: Time) -> Time {
         if skew <= self.left.0 {
             self.left.1
@@ -137,6 +145,7 @@ impl VShape {
     }
 
     /// Breakpoints of the piecewise-linear function.
+    #[inline]
     fn breakpoints(&self) -> [Time; 3] {
         [self.left.0, self.vertex.0, self.right.0]
     }
@@ -145,11 +154,13 @@ impl VShape {
     ///
     /// Since the function is piecewise linear, the minimum is attained at an
     /// interval endpoint or at an interior breakpoint.
+    #[inline]
     pub fn min_over(&self, skews: Bound) -> Time {
         self.extremum_over(skews, Time::min, Time::INFINITY)
     }
 
     /// Maximum of the V-shape over a skew interval.
+    #[inline]
     pub fn max_over(&self, skews: Bound) -> Time {
         self.extremum_over(skews, Time::max, Time::NEG_INFINITY)
     }
@@ -174,10 +185,19 @@ impl VShape {
         )
     }
 
-    fn extremum_over(&self, skews: Bound, pick: fn(Time, Time) -> Time, init: Time) -> Time {
-        self.candidates(skews)
-            .map(|x| self.eval(x))
-            .fold(init, pick)
+    /// Folds `pick` from `init` over the shape's values at the candidate
+    /// skews in a fixed order: `s`, `l`, then each breakpoint inside
+    /// `skews`. Straight-line code, so the kernel's corner search compiles
+    /// flat; the order fixes which of two equal values (`±0`) survives.
+    #[inline]
+    fn extremum_over(&self, skews: Bound, pick: impl Fn(Time, Time) -> Time, init: Time) -> Time {
+        let mut acc = pick(pick(init, self.eval(skews.s())), self.eval(skews.l()));
+        for b in self.breakpoints() {
+            if skews.contains(b) {
+                acc = pick(acc, self.eval(b));
+            }
+        }
+        acc
     }
 }
 
@@ -319,6 +339,68 @@ mod tests {
         let txt = sample().to_string();
         assert!(txt.contains("0.17ns"));
         assert!(txt.contains("-0.25ns"));
+    }
+
+    /// The iterator fold `min_over`/`max_over` ran before the
+    /// straight-line one: the bit-exact reference for it.
+    fn reference_extremum(
+        v: &VShape,
+        skews: Bound,
+        pick: fn(Time, Time) -> Time,
+        init: Time,
+    ) -> Time {
+        v.candidates(skews).map(|x| v.eval(x)).fold(init, pick)
+    }
+
+    /// `0.0`, `-0.0` or `x`, by `sel`: signed zeros are where `min` and
+    /// `max` may tie-break either way, so the fold order shows there.
+    fn signed_zero_or(sel: usize, x: f64) -> f64 {
+        match sel % 3 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => x,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// Degenerate intervals, intervals ending on a breakpoint and
+        /// signed-zero skews and values all appear.
+        #[test]
+        fn straight_line_extrema_match_the_iterator_fold(
+            lk in -1.0..0.0f64, rk in 0.0..1.0f64, t in 0.0..1.0f64,
+            dl in -0.5..0.5f64, dv in -0.5..0.5f64, dr in -0.5..0.5f64,
+            sel in 0usize..729, lo in -2.0..2.0f64, w in 0.0..2.0f64,
+            mode in 0usize..5, bp in 0usize..3,
+        ) {
+            let sk = signed_zero_or(sel, lk + (rk - lk) * t);
+            let (lk, rk) = (lk.min(sk), rk.max(sk));
+            let v = VShape::new(
+                (ns(lk), ns(signed_zero_or(sel / 3, dl))),
+                (ns(sk), ns(signed_zero_or(sel / 9, dv))),
+                (ns(rk), ns(signed_zero_or(sel / 27, dr))),
+            ).unwrap();
+            let b = v.breakpoints()[bp].as_ns();
+            let (s, l) = match mode {
+                0 => (lo, lo + w),
+                1 => (lo, lo),
+                2 => (b, b + w),
+                3 => (b - w, b),
+                _ => (signed_zero_or(sel / 81, lo.min(0.0)), signed_zero_or(sel / 243, w)),
+            };
+            let w = Bound::new(ns(s.min(l)), ns(l.max(s))).unwrap();
+            let bits = |x: Time| x.as_ns().to_bits();
+            prop_assert_eq!(
+                bits(v.min_over(w)),
+                bits(reference_extremum(&v, w, Time::min, Time::INFINITY)),
+                "min of {} over {}", v, w
+            );
+            prop_assert_eq!(
+                bits(v.max_over(w)),
+                bits(reference_extremum(&v, w, Time::max, Time::NEG_INFINITY)),
+                "max of {} over {}", v, w
+            );
+        }
     }
 
     proptest! {

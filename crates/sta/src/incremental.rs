@@ -5,26 +5,24 @@
 //! decision *and* per backtrack, making that the dominant cost of
 //! timing-driven test generation. This module provides the engine ITR
 //! refines with. It evaluates gates through the same kernel as plain STA
-//! ([`GateTable::eval`]) and adds three ideas:
+//! ([`GateTable::eval`]) and adds two ideas:
 //!
 //! 1. **Dirty-cone propagation.** The engine keeps the previous
 //!    participation state of every net. A refinement call diffs the new
 //!    participation against it, seeds a worklist with the changed nets
 //!    and their fan-outs, and processes the worklist in topological
-//!    order. A gate whose recomputed [`LineTiming`] *and* per-pin
-//!    [`DelaysUsed`] are unchanged stops the wave: its fan-outs are not
-//!    enqueued. A single primary-input assignment therefore touches only
-//!    its fan-out cone rather than the whole circuit.
+//!    order. A re-evaluated gate stores its new [`LineTiming`] and
+//!    per-pin [`DelaysUsed`], but only a changed `LineTiming` enqueues its
+//!    fan-outs: a fan-out reads its fan-ins' windows and participations,
+//!    never their used delays. A single primary-input assignment
+//!    therefore touches only its fan-out cone rather than the whole
+//!    circuit.
 //! 2. **Gate-evaluation memoization.** Every gate evaluation is a pure
 //!    function of (gate, input windows, input participations, own
 //!    participation) — the load, stage plan and cells are fixed per
 //!    gate. Evaluations are cached under a bit-exact key, so PODEM
 //!    backtracks that revisit an earlier assignment are served from
 //!    cache without touching the characterized-cell fits.
-//! 3. **Parallel full passes.** The first analysis of a large circuit
-//!    evaluates each topological level's gates across threads, like
-//!    [`Sta::run_parallel`](crate::Sta::run_parallel); gates on one level
-//!    never depend on each other.
 //!
 //! # Equivalence invariants
 //!
@@ -37,9 +35,7 @@
 //!   would;
 //! * a gate outside the dirty cone has, by induction over topological
 //!   order, bit-identical inputs to the full recomputation, so its
-//!   stored result is exactly what re-evaluation would produce;
-//! * parallel passes evaluate the same pure function per gate and only
-//!   the assignment of gates to threads varies.
+//!   stored result is exactly what re-evaluation would produce.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -53,7 +49,7 @@ use ssdm_netlist::{Circuit, NetId};
 
 use crate::engine::{StaConfig, StaResult};
 use crate::error::StaError;
-use crate::kernel::{run_levels, GateTable};
+use crate::kernel::GateTable;
 use crate::propagate::DelaysUsed;
 use crate::window::{LineTiming, Participation, PinWindow};
 
@@ -176,21 +172,6 @@ impl std::ops::AddAssign for IncrementalStats {
 /// entry per gate, which must not eat into this headroom, or a large
 /// circuit's root state is cleared after a few decisions.
 const MEMO_CAP: usize = 1 << 18;
-
-/// Circuits at least this many nets large get a parallel first pass by
-/// default. Below it, spawning threads per topological level costs more
-/// than it saves: on 2 cores a 2-thread full pass of an `iscas_like`
-/// circuit took 2.3× the serial time at 520 nets and broke even near 4k
-/// nets. Those figures predate the memo fill, which the parallel pass
-/// now does serially in its commit. Measured since, on 2 cores at 100k
-/// gates, a memo-filling 2-thread `full_pass_parallel` and the serial
-/// `full_pass` are even: medians 311 and 317 ms over 39 alternating
-/// runs, with the parallel pass faster in 17 of them.
-pub const PARALLEL_THRESHOLD: usize = 8192;
-
-/// One gate's recomputed state in a parallel pass: `(memo key, windows,
-/// used delays)`; the key is `None` for primary inputs.
-type EvalOutput = (Option<Box<[u64]>>, LineTiming, DelaysUsed);
 
 /// The memo's hasher: one multiply-rotate step per key word. Keys are
 /// short runs of `u64` words (see [`IncrementalSta::write_key`]), and a
@@ -398,7 +379,7 @@ impl<'a> IncrementalSta<'a> {
 
     /// Evaluates one net from the current `lines`/`part` state through
     /// the kernel ([`GateTable::eval`]). Pure in the memo-key inputs;
-    /// shared by the sequential, memoized and parallel paths.
+    /// every memo miss and primary input goes through it.
     ///
     /// When provenance events are enabled, each evaluation emits one
     /// `sta.corner` event per surviving output-edge bound. Memo hits do
@@ -493,65 +474,12 @@ impl<'a> IncrementalSta<'a> {
         Ok(())
     }
 
-    /// Recomputes every net under `part`, evaluating each topological
-    /// level's gates across `threads` worker threads. Results are
-    /// bit-identical to [`IncrementalSta::full_pass`], and like it the
-    /// pass leaves every gate's evaluation in the memo cache: workers
-    /// build each key next to its evaluation (fan-ins sit on lower,
-    /// already committed levels), and this thread inserts them in level
-    /// order. Workers do not probe the cache, so every gate counts as a
-    /// miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cell-query failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `part.len()` differs from the circuit's net count or
-    /// `threads` is zero.
-    pub fn full_pass_parallel(
-        &mut self,
-        part: &[[Participation; 2]],
-        threads: usize,
-    ) -> Result<(), StaError> {
-        let circuit = self.table.circuit();
-        assert_eq!(part.len(), circuit.n_nets(), "participation size");
-        let _span = ssdm_obs::span("sta.full_pass.parallel");
-        self.part.copy_from_slice(part);
-        self.stats.full_passes += 1;
-        run_levels(
-            circuit,
-            threads,
-            self,
-            |engine, i| -> Result<EvalOutput, StaError> {
-                let (lt, du) = engine.eval_gate_uncached(i)?;
-                let key = engine.table.cells(NetId(i)).map(|_| {
-                    let mut key = Vec::new();
-                    engine.write_key(i, &mut key);
-                    key.into_boxed_slice()
-                });
-                Ok((key, lt, du))
-            },
-            |engine, i, (key, lt, du)| {
-                engine.stats.gates_evaluated += 1;
-                if let Some(key) = key {
-                    engine.memoize(key, (lt, du));
-                }
-                engine.store(i, lt, du);
-            },
-        )?;
-        self.primed = true;
-        Ok(())
-    }
-
     /// Refines the analysis to `part`: diffs it against the previous
     /// participation map, then recomputes only the dirty cone, stopping
-    /// at gates whose windows and used-delays come out unchanged.
+    /// at gates whose windows come out unchanged.
     ///
     /// The first call (or any call before a full pass) falls back to
-    /// [`IncrementalSta::full_pass`] — parallel when the circuit is at
-    /// least [`PARALLEL_THRESHOLD`] nets and the host has the cores.
+    /// [`IncrementalSta::full_pass`].
     ///
     /// Returns the number of gate evaluations performed.
     ///
@@ -566,12 +494,7 @@ impl<'a> IncrementalSta<'a> {
         let circuit = self.table.circuit();
         assert_eq!(part.len(), circuit.n_nets(), "participation size");
         if !self.primed {
-            let threads = default_threads(circuit.n_nets());
-            if threads > 1 {
-                self.full_pass_parallel(part, threads)?;
-            } else {
-                self.full_pass(part)?;
-            }
+            self.full_pass(part)?;
             return Ok(circuit.n_nets());
         }
         let _span = ssdm_obs::span("sta.refine");
@@ -615,11 +538,16 @@ impl<'a> IncrementalSta<'a> {
                 }
             };
             evaluated += 1;
-            if lt != self.lines[i] || du != self.used[i] {
+            // Fan-outs read this net's windows, not its used delays: a
+            // change to the delays alone is stored without waking them.
+            let window_changed = lt != self.lines[i];
+            if window_changed || du != self.used[i] {
                 if events {
                     emit_shrink_events(i as u32, &self.lines[i], &lt, seeded[i]);
                 }
                 self.store(i, lt, du);
+            }
+            if window_changed {
                 for &c in circuit.fanouts(NetId(i)) {
                     work.push(c.index());
                 }
@@ -720,17 +648,6 @@ fn emit_shrink_events(net: u32, old: &LineTiming, new: &LineTiming, seed: bool) 
     }
 }
 
-/// The thread count [`IncrementalSta::refine`] uses for an unprimed
-/// first pass on an `n`-net circuit.
-pub fn default_threads(n: usize) -> usize {
-    if n < PARALLEL_THRESHOLD {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map(|p| p.get().min(8))
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,19 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pass_is_bit_identical() {
-        let c = suite::synthetic("c880s").unwrap();
-        let lib = library();
-        let part = unconstrained_participation(c.n_nets());
-        let mut seq = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
-        seq.full_pass(&part).unwrap();
-        let mut par = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
-        par.full_pass_parallel(&part, 4).unwrap();
-        assert_eq!(seq.lines(), par.lines());
-        assert_eq!(seq.used(), par.used());
-    }
-
-    #[test]
     fn refine_touches_only_the_dirty_cone() {
         let c = suite::synthetic("c880s").unwrap();
         let lib = library();
@@ -791,6 +695,53 @@ mod tests {
         fresh.full_pass(&part).unwrap();
         assert_eq!(eng.lines(), fresh.lines());
         assert_eq!(eng.used(), fresh.used());
+    }
+
+    /// A veto whose only effect downstream is on a fan-out's used delays
+    /// (its windows stay bit-identical) re-evaluates the vetoed net and
+    /// its fan-outs, and nothing behind them.
+    #[test]
+    fn a_used_delay_change_alone_wakes_no_fan_out() {
+        let c = suite::synthetic("c880s").unwrap();
+        let lib = library();
+        let base = unconstrained_participation(c.n_nets());
+        let mut eng = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
+        eng.full_pass(&base).unwrap();
+        let (root_lines, root_used) = (eng.lines().to_vec(), eng.used().to_vec());
+        let mut found = false;
+        'search: for x in c.topo() {
+            let mut fanouts = c.fanouts(x).to_vec();
+            fanouts.sort();
+            fanouts.dedup();
+            for e in Edge::BOTH {
+                let mut part = base.clone();
+                part[x.index()][e.index()] = Participation::Cannot;
+                let before = eng.stats().gates_evaluated;
+                eng.refine(&part).unwrap();
+                let evaluated = eng.stats().gates_evaluated - before;
+                // Wanted: every fan-out keeps its windows, and one whose
+                // used delays moved has a fan-out outside `x`'s, which
+                // only the cutoff keeps asleep.
+                let quiet = fanouts
+                    .iter()
+                    .all(|g| eng.lines()[g.index()] == root_lines[g.index()]);
+                let used_only = fanouts.iter().any(|g| {
+                    eng.used()[g.index()] != root_used[g.index()]
+                        && c.fanouts(*g).iter().any(|h| !fanouts.contains(h))
+                });
+                if quiet && used_only {
+                    assert_eq!(evaluated, 1 + fanouts.len() as u64, "net {x:?} {e}");
+                    let mut fresh = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
+                    fresh.full_pass(&part).unwrap();
+                    assert_eq!(eng.lines(), fresh.lines());
+                    assert_eq!(eng.used(), fresh.used());
+                    found = true;
+                    break 'search;
+                }
+                eng.refine(&base).unwrap();
+            }
+        }
+        assert!(found, "no veto changes only a fan-out's used delays");
     }
 
     #[test]
@@ -914,13 +865,16 @@ mod tests {
             .collect();
         assert_eq!(got, PINNED_DIGESTS);
         for &(name, model, want) in &PINNED_DIGESTS {
-            // The parallel first pass reaches the same state and leaves
-            // it memoized: an unchanged-state pass is all hits.
+            // The level-parallel pass reaches the same state.
             let c = circuit(name);
-            let part = unconstrained_participation(c.n_nets());
             let cfg = StaConfig::default().with_model(model);
+            let par = Sta::new(&c, lib, cfg.clone()).run_parallel(2).unwrap();
+            assert_eq!(timing_digest(&c, &par), want, "{name} {model:?}");
+            // The engine's first pass does too, and leaves it memoized:
+            // an unchanged-state pass is all hits.
+            let part = unconstrained_participation(c.n_nets());
             let mut eng = IncrementalSta::new(&c, lib, cfg).unwrap();
-            eng.full_pass_parallel(&part, 2).unwrap();
+            eng.full_pass(&part).unwrap();
             assert_eq!(timing_digest(&c, &eng.snapshot()), want, "{name} {model:?}");
             let before = eng.stats();
             eng.full_pass(&part).unwrap();

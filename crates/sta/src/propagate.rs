@@ -533,21 +533,14 @@ fn edge_windows(
         .iter()
         .map(|a| a.ttmin)
         .fold(Time::INFINITY, Time::min);
-    if ctrl && model.vshape() {
+    if let Some(shapes) = &shapes {
         // Simultaneous switching can sharpen the output edge below any
         // single-switch transition time; the minimum may sit at a non-zero
         // skew SK_{t,min} (Section 4.2).
         for (ii, i) in active.iter().enumerate() {
-            for j in active.iter().skip(ii + 1) {
+            for (jj, j) in active.iter().enumerate().skip(ii + 1) {
                 let skews = j.arrival.sub(i.arrival);
-                let v = cell.vshape_ttime(
-                    i.pin,
-                    j.pin,
-                    cell.clamp_t(i.ttime.s()),
-                    cell.clamp_t(j.ttime.s()),
-                    load,
-                )?;
-                tt_s = tt_s.min(v.min_over(skews));
+                tt_s = tt_s.min(shapes.ttime(ii, jj).min_over(skews));
             }
         }
     }
@@ -564,23 +557,24 @@ fn edge_windows(
     ))
 }
 
-/// The to-controlling delay V-shapes of every ordered pair of active
-/// inputs at their four transition-time corners, built once per edge
-/// evaluation so that [`composed_min`] and [`composed_max`] share them.
+/// The to-controlling V-shapes of every pair of active inputs, built once
+/// per edge evaluation so that [`composed_min`], [`composed_max`] and the
+/// transition-time search share them.
 ///
 /// `get(t, o)[ci][cj]` is exactly `cell.vshape_delay(t.pin, o.pin, Tt, To)`
 /// with `Tt` / `To` the clamped corner `ci` / `cj` (0 = `S`, 1 = `L`) of the
 /// trigger's and the companion's transition times. Active inputs are in
 /// pin order, so `t < o` is the pair's normalized orientation; the other
 /// one is the normalized shape's [`VShape::mirrored`], which is what
-/// `vshape_delay` itself returns for a reversed query.
+/// `vshape_delay` itself returns for a reversed query. `ttime(t, o)`, for
+/// `t < o`, is `cell.vshape_ttime` at the two `S` corners.
 ///
-/// Each active input's two corners (clamped transition time, cube root and
-/// pin delay) are prepared once, not once per pair and corner; see
-/// [`CharacterizedGate::vshape_delay_at`].
+/// Each active input's two corners are prepared once, and each pair's
+/// shapes come from one [`CharacterizedGate::pair_vshapes_at`] call.
 struct PairShapes {
     n: usize,
-    shapes: [[[VShape; 2]; 2]; MAX_PINS * MAX_PINS],
+    delay: [[[VShape; 2]; 2]; MAX_PINS * MAX_PINS],
+    ttime: [VShape; MAX_PINS * MAX_PINS],
 }
 
 impl PairShapes {
@@ -597,24 +591,36 @@ impl PairShapes {
                 cell.pin_corner(a.pin, a.ttime.l(), load)?,
             ];
         }
-        let mut shapes = [[[VShape::flat(Time::ZERO); 2]; 2]; MAX_PINS * MAX_PINS];
+        let flat = VShape::flat(Time::ZERO);
+        let mut shapes = PairShapes {
+            n,
+            delay: [[[flat; 2]; 2]; MAX_PINS * MAX_PINS],
+            ttime: [flat; MAX_PINS * MAX_PINS],
+        };
         for t in 0..n {
             for o in t + 1..n {
-                for ci in 0..2 {
-                    for cj in 0..2 {
-                        let v = cell.vshape_delay_at(&corners[t][ci], &corners[o][cj], load)?;
-                        shapes[t * n + o][ci][cj] = v;
-                        shapes[o * n + t][cj][ci] = v.mirrored();
+                let (delay, ttime) = cell.pair_vshapes_at(&corners[t], &corners[o], load)?;
+                for (ci, row) in delay.iter().enumerate() {
+                    for (cj, v) in row.iter().enumerate() {
+                        shapes.delay[o * n + t][cj][ci] = v.mirrored();
                     }
                 }
+                shapes.delay[t * n + o] = delay;
+                shapes.ttime[t * n + o] = ttime;
             }
         }
-        Ok(PairShapes { n, shapes })
+        Ok(shapes)
     }
 
-    /// The shapes with active input `t` triggering and `o` the companion.
+    /// The delay shapes with active input `t` triggering and `o` the
+    /// companion.
     fn get(&self, t: usize, o: usize) -> &[[VShape; 2]; 2] {
-        &self.shapes[t * self.n + o]
+        &self.delay[t * self.n + o]
+    }
+
+    /// The transition-time shape of active inputs `t < o`.
+    fn ttime(&self, t: usize, o: usize) -> &VShape {
+        &self.ttime[t * self.n + o]
     }
 }
 
@@ -961,6 +967,67 @@ mod tests {
             DelayTerm::Dr,
             "no overlap → single-switch arm"
         );
+    }
+
+    fn shape_bits(v: &VShape) -> [u64; 6] {
+        let [(a, b), (c, d), (e, f)] = [v.left_knee(), v.vertex(), v.right_knee()];
+        [a, b, c, d, e, f].map(|t| t.as_ns().to_bits())
+    }
+
+    proptest::proptest! {
+        /// Every shape the table holds, in both orientations, is the
+        /// cell's own `vshape_delay` / `vshape_ttime` at the same corners.
+        /// Pins 0 and 1 are always active; `mask` adds the others.
+        #[test]
+        fn pair_shapes_match_the_cell_queries(
+            cell in 0usize..6,
+            mask in 0usize..16,
+            corners in proptest::collection::vec(0.0f64..2.5, 8..9),
+            load in 1.0f64..40.0,
+        ) {
+            let name = ["NAND2", "NAND3", "NAND4", "NOR2", "NOR3", "NOR4"][cell];
+            let g = crate::testlib::library().get(name).expect("standard cell");
+            let load = Capacitance::from_ff(load);
+            let active: Vec<Active> = (0..g.n_inputs())
+                .filter(|p| (mask | 0b11) >> p & 1 == 1)
+                .map(|pin| {
+                    let (s, w) = (corners[2 * pin], corners[2 * pin + 1]);
+                    Active {
+                        pin,
+                        arrival: Bound::point(Time::ZERO),
+                        ttime: b(s, s + w),
+                        must: false,
+                        dmin: Time::ZERO,
+                        dmax: Time::ZERO,
+                        ttmin: Time::ZERO,
+                        ttmax: Time::ZERO,
+                    }
+                })
+                .collect();
+            let shapes = PairShapes::build(g, load, &active).unwrap();
+            for (t, x) in active.iter().enumerate() {
+                for (o, y) in active.iter().enumerate().filter(|&(o, _)| o != t) {
+                    for (ci, tx) in [x.ttime.s(), x.ttime.l()].into_iter().enumerate() {
+                        for (cj, ty) in [y.ttime.s(), y.ttime.l()].into_iter().enumerate() {
+                            let want = g.vshape_delay(x.pin, y.pin, tx, ty, load).unwrap();
+                            proptest::prop_assert_eq!(
+                                shape_bits(&shapes.get(t, o)[ci][cj]), shape_bits(&want),
+                                "{} pins ({}, {}) corner ({}, {})", name, x.pin, y.pin, ci, cj
+                            );
+                        }
+                    }
+                    if t < o {
+                        let want = g
+                            .vshape_ttime(x.pin, y.pin, g.clamp_t(x.ttime.s()), g.clamp_t(y.ttime.s()), load)
+                            .unwrap();
+                        proptest::prop_assert_eq!(
+                            shape_bits(shapes.ttime(t, o)), shape_bits(&want),
+                            "{} pins ({}, {}) ttime", name, x.pin, y.pin
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
