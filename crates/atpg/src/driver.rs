@@ -50,11 +50,11 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use ssdm_cells::CellLibrary;
-use ssdm_core::{Bound, Edge, Time};
+use ssdm_core::Edge;
 use ssdm_logic::Tri;
 use ssdm_models::ProposedModel;
 use ssdm_netlist::{Circuit, CrosstalkSite};
-use ssdm_sta::{required_times, IncrementalStats, Sta};
+use ssdm_sta::{IncrementalStats, Sta};
 use ssdm_tsim::{SimInput, SimTrace, TimingSim};
 
 use crate::error::AtpgError;
@@ -107,7 +107,7 @@ impl CampaignResult {
 /// A replayed test: the concrete good-machine timing trace of a filled
 /// two-pattern stimulus.
 #[derive(Debug)]
-pub struct Replay {
+pub(crate) struct Replay {
     trace: SimTrace,
     /// Scratch for the observability check of [`TestReplayer::covers`].
     cone: RefCell<FaultCone>,
@@ -117,13 +117,12 @@ pub struct Replay {
 /// decides which other faults they cover. One replayer serves a whole
 /// campaign: it is `Sync`, so every worker borrows it.
 #[derive(Debug)]
-pub struct TestReplayer<'a> {
+pub(crate) struct TestReplayer<'a> {
     circuit: &'a Circuit,
     config: &'a AtpgConfig,
     sim: TimingSim<'a, ProposedModel>,
-    /// Per (net, edge index): whether a transition there, slowed by the
-    /// fault's extra delay, can miss setup under the static worst-case
-    /// windows (late arrival bound + extra delay > late required time).
+    /// Per (net, edge index): the setup-violation potential under the
+    /// static worst-case windows ([`AtpgConfig::setup_potential`]).
     may_violate: Vec<[bool; 2]>,
 }
 
@@ -135,24 +134,16 @@ impl<'a> TestReplayer<'a> {
     /// # Errors
     ///
     /// Propagates STA failures (unmappable gates, missing cells).
-    pub fn new(
+    pub(crate) fn new(
         circuit: &'a Circuit,
         library: &'a CellLibrary,
         config: &'a AtpgConfig,
     ) -> Result<TestReplayer<'a>, AtpgError> {
         let sta = Sta::new(circuit, library, config.sta.clone()).run()?;
-        let deadline = Bound::new(Time::NEG_INFINITY, config.clock_period).expect("valid");
-        let q = required_times(circuit, &sta, [deadline, deadline]);
-        let extra = config.fault_model.extra_delay;
+        let potential = config.setup_potential(circuit, &sta);
         let may_violate = circuit
             .topo()
-            .map(|id| {
-                [Edge::Rise, Edge::Fall].map(|edge| {
-                    sta.line(id)
-                        .edge(edge)
-                        .is_some_and(|w| w.arrival.l() + extra > q[id.index()][edge.index()].l)
-                })
-            })
+            .map(|id| [Edge::Rise, Edge::Fall].map(|edge| potential(id, edge)))
             .collect();
         Ok(TestReplayer {
             circuit,
@@ -177,7 +168,7 @@ impl<'a> TestReplayer<'a> {
     ///
     /// Propagates simulator infrastructure failures
     /// ([`AtpgError::Simulation`]).
-    pub fn replay(&self, test: &TestPair) -> Result<Replay, AtpgError> {
+    pub(crate) fn replay(&self, test: &TestPair) -> Result<Replay, AtpgError> {
         let (v1, v2) = fill(test);
         let trace = self.sim.run(&SimInput::step(self.circuit, &v1, &v2))?;
         Ok(Replay {
@@ -196,7 +187,7 @@ impl<'a> TestReplayer<'a> {
     /// Conservative on the concrete conditions — `false` whenever
     /// excitation, alignment, or observability is not *surely* established
     /// on the trace.
-    pub fn covers(&self, replay: &Replay, site: CrosstalkSite) -> bool {
+    pub(crate) fn covers(&self, replay: &Replay, site: CrosstalkSite) -> bool {
         let Some(ev_v) = replay.trace.event(site.victim) else {
             return false;
         };

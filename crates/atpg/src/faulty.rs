@@ -8,36 +8,14 @@
 //!
 //! `FaultCone` is the kernel the search and the test replayer use: it
 //! re-evaluates only the gates a difference reaches, so a call costs the
-//! victim's difference cone. [`faulty_frame2`], [`detected`] and
-//! [`d_frontier`] sweep the whole circuit and are its reference.
+//! victim's difference cone. Its tests compare it with a full-circuit
+//! sweep kept as test code.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ssdm_logic::{Assignments, Tri};
+use ssdm_logic::Tri;
 use ssdm_netlist::{Circuit, GateType, NetId};
-
-/// Frame-2 values of the faulty machine: the victim's value complemented,
-/// everything downstream re-evaluated (three-valued, forward only).
-pub fn faulty_frame2(circuit: &Circuit, good: &Assignments, victim: NetId) -> Vec<Tri> {
-    let mut vals = vec![Tri::X; circuit.n_nets()];
-    for id in circuit.topo() {
-        let gate = circuit.gate(id);
-        let v = if id == victim {
-            // A late transition means the pre-transition (first-frame)
-            // value persists at sampling time — the complement of the
-            // final value when the victim actually transitions.
-            good.get(victim).second.not()
-        } else {
-            match gate.gtype {
-                GateType::Input => good.get(id).second,
-                _ => eval3(gate.gtype, gate.fanin.iter().map(|f| vals[f.index()])),
-            }
-        };
-        vals[id.index()] = v;
-    }
-    vals
-}
 
 /// Three-valued gate evaluation.
 fn eval3(gtype: GateType, inputs: impl IntoIterator<Item = Tri>) -> Tri {
@@ -51,50 +29,6 @@ fn eval3(gtype: GateType, inputs: impl IntoIterator<Item = Tri>) -> Tri {
         GateType::Or => it.fold(Tri::Zero, Tri::or),
         GateType::Nor => it.fold(Tri::Zero, Tri::or).not(),
     }
-}
-
-/// True when the fault effect is observed: some primary output has known,
-/// differing good/faulty frame-2 values.
-pub fn detected(circuit: &Circuit, good: &Assignments, faulty2: &[Tri]) -> bool {
-    circuit.outputs().iter().any(|&po| {
-        let g = good.get(po).second;
-        let f = faulty2[po.index()];
-        g.is_known() && f.is_known() && g != f
-    })
-}
-
-/// The D-frontier: gates with a visible good/faulty difference on some
-/// input but not (yet) on the output — the places propagation must be
-/// pushed through.
-pub fn d_frontier(circuit: &Circuit, good: &Assignments, faulty2: &[Tri]) -> Vec<NetId> {
-    let mut out = Vec::new();
-    for id in circuit.topo() {
-        let gate = circuit.gate(id);
-        if gate.gtype == GateType::Input {
-            continue;
-        }
-        let out_diff = {
-            let g = good.get(id).second;
-            let f = faulty2[id.index()];
-            g.is_known() && f.is_known() && g != f
-        };
-        if out_diff {
-            continue;
-        }
-        let has_d_input = gate.fanin.iter().any(|&fin| {
-            let g = good.get(fin).second;
-            let f = faulty2[fin.index()];
-            g.is_known() && f.is_known() && g != f
-        });
-        // Output not already blocked to a known equal value on both
-        // machines with no hope: frontier gates are those whose output is
-        // still unknown in at least one machine.
-        let out_open = !good.get(id).second.is_known() || !faulty2[id.index()].is_known();
-        if has_d_input && out_open {
-            out.push(id);
-        }
-    }
-    out
 }
 
 /// True when the good and faulty values are both known and differ: a
@@ -185,8 +119,8 @@ impl FaultCone {
         if ssdm_obs::enabled() {
             ssdm_obs::histogram("atpg.faulty.cone_gates").record(evaluated);
         }
-        // Sorting restores the ascending order of the `d_frontier` sweep,
-        // which `Atpg::evaluate` relies on: it takes the first objective.
+        // Sorting restores the ascending net order of a full sweep, which
+        // `Atpg::evaluate` relies on: it takes the first objective.
         self.frontier.clear();
         let mut observed = false;
         for &net in &self.touched {
@@ -225,18 +159,95 @@ impl FaultCone {
         self.diff[net.index()].unwrap_or(good)
     }
 
-    /// The D-frontier of the last [`FaultCone::propagate`], in the order
-    /// [`d_frontier`] returns it.
+    /// The D-frontier of the last [`FaultCone::propagate`]: gates with a
+    /// fault effect on some input, none on the output and an output still
+    /// unknown in one machine, in ascending net order.
     pub(crate) fn frontier(&self) -> &[NetId] {
         &self.frontier
     }
 }
 
+/// The full-sweep faulty machine the cone kernel is checked against.
+#[cfg(test)]
+mod reference {
+    use ssdm_logic::{Assignments, Tri};
+    use ssdm_netlist::{Circuit, GateType, NetId};
+
+    use super::eval3;
+
+    /// Frame-2 values of the faulty machine: the victim's value complemented,
+    /// everything downstream re-evaluated (three-valued, forward only).
+    pub(super) fn faulty_frame2(circuit: &Circuit, good: &Assignments, victim: NetId) -> Vec<Tri> {
+        let mut vals = vec![Tri::X; circuit.n_nets()];
+        for id in circuit.topo() {
+            let gate = circuit.gate(id);
+            let v = if id == victim {
+                // A late transition means the pre-transition (first-frame)
+                // value persists at sampling time — the complement of the
+                // final value when the victim actually transitions.
+                good.get(victim).second.not()
+            } else {
+                match gate.gtype {
+                    GateType::Input => good.get(id).second,
+                    _ => eval3(gate.gtype, gate.fanin.iter().map(|f| vals[f.index()])),
+                }
+            };
+            vals[id.index()] = v;
+        }
+        vals
+    }
+
+    /// True when the fault effect is observed: some primary output has known,
+    /// differing good/faulty frame-2 values.
+    pub(super) fn detected(circuit: &Circuit, good: &Assignments, faulty2: &[Tri]) -> bool {
+        circuit.outputs().iter().any(|&po| {
+            let g = good.get(po).second;
+            let f = faulty2[po.index()];
+            g.is_known() && f.is_known() && g != f
+        })
+    }
+
+    /// The D-frontier: gates with a visible good/faulty difference on some
+    /// input but not (yet) on the output — the places propagation must be
+    /// pushed through.
+    pub(super) fn d_frontier(circuit: &Circuit, good: &Assignments, faulty2: &[Tri]) -> Vec<NetId> {
+        let mut out = Vec::new();
+        for id in circuit.topo() {
+            let gate = circuit.gate(id);
+            if gate.gtype == GateType::Input {
+                continue;
+            }
+            let out_diff = {
+                let g = good.get(id).second;
+                let f = faulty2[id.index()];
+                g.is_known() && f.is_known() && g != f
+            };
+            if out_diff {
+                continue;
+            }
+            let has_d_input = gate.fanin.iter().any(|&fin| {
+                let g = good.get(fin).second;
+                let f = faulty2[fin.index()];
+                g.is_known() && f.is_known() && g != f
+            });
+            // Output not already blocked to a known equal value on both
+            // machines with no hope: frontier gates are those whose output is
+            // still unknown in at least one machine.
+            let out_open = !good.get(id).second.is_known() || !faulty2[id.index()].is_known();
+            if has_d_input && out_open {
+                out.push(id);
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{d_frontier, detected, faulty_frame2};
     use super::*;
     use proptest::prelude::*;
-    use ssdm_logic::{imply, V2};
+    use ssdm_logic::{imply, Assignments, V2};
     use ssdm_netlist::{generate, suite, GeneratorConfig};
 
     /// Runs the kernel for `victim` on `cone` and compares every net's

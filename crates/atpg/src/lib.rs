@@ -17,16 +17,15 @@
 //! # Example
 //!
 //! ```no_run
-//! use ssdm_atpg::{Atpg, AtpgConfig};
+//! use ssdm_atpg::{AtpgConfig, AtpgDriver};
 //! use ssdm_cells::{CellLibrary, CharConfig};
 //! use ssdm_netlist::{coupling_sites, suite};
 //!
 //! let lib = CellLibrary::characterize_standard(&CharConfig::fast())?;
 //! let c = suite::c17();
 //! let sites = coupling_sites(&c, 10, 7);
-//! let atpg = Atpg::new(&c, &lib, AtpgConfig::default());
-//! let stats = atpg.run_sites(&sites)?;
-//! println!("efficiency: {:.2}%", stats.efficiency() * 100.0);
+//! let campaign = AtpgDriver::new(&c, &lib, AtpgConfig::default()).run(&sites)?;
+//! println!("efficiency: {:.2}%", campaign.stats.efficiency() * 100.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -39,21 +38,19 @@ pub mod fault;
 pub mod faulty;
 pub mod podem;
 
-pub use driver::{AtpgDriver, CampaignResult, Replay, SiteOutcome, TestReplayer};
+pub use driver::{AtpgDriver, CampaignResult, SiteOutcome};
 pub use error::AtpgError;
 pub use fault::{CrosstalkFault, FaultModel};
-pub use faulty::{d_frontier, detected, faulty_frame2};
 pub use podem::{Atpg, AtpgConfig, AtpgStats, FaultOutcome, TestPair};
 
-/// One fast-characterized library shared by every test module in this
-/// crate — characterization is expensive, so paying for it once per test
-/// binary (not once per module-local `OnceLock`) matters.
+/// The pinned fast-grid library, parsed once per test binary and shared
+/// by every test module in this crate.
 #[cfg(test)]
 pub(crate) fn test_library() -> &'static ssdm_cells::CellLibrary {
     use std::sync::OnceLock;
     static LIB: OnceLock<ssdm_cells::CellLibrary> = OnceLock::new();
     LIB.get_or_init(|| {
-        ssdm_cells::CellLibrary::characterize_standard(&ssdm_cells::CharConfig::fast())
-            .expect("characterization")
+        ssdm_cells::CellLibrary::from_text(include_str!("../../../perfbench/data/library-fast.txt"))
+            .expect("pinned library parses")
     })
 }

@@ -4,12 +4,12 @@
 use std::cell::{Cell, RefCell};
 
 use ssdm_cells::CellLibrary;
-use ssdm_core::{Bound, Time};
-use ssdm_itr::{Itr, ItrResult};
+use ssdm_core::{Bound, Edge, Time};
+use ssdm_itr::Itr;
 use ssdm_logic::{Assignments, TransState, Tri, V2};
 use ssdm_netlist::{Circuit, CrosstalkSite, GateType, NetId};
 use ssdm_obs::Event;
-use ssdm_sta::{required_times, Sta, StaConfig};
+use ssdm_sta::{required_times, Sta, StaConfig, TimingView};
 
 use crate::error::{itr_conflict, AtpgError};
 use crate::fault::{CrosstalkFault, FaultModel};
@@ -73,6 +73,27 @@ impl AtpgConfig {
         let clock = sta.endpoint_max_delay(circuit) * 1.02;
         Ok(config.with_clock(clock))
     }
+
+    /// The setup-violation potential of every line under `timing`: a
+    /// transition of `net` on `edge`, slowed by the fault's extra delay,
+    /// can miss its setup deadline when its latest arrival plus that
+    /// delay exceeds its latest required time, the deadline being the
+    /// clock period at every primary output.
+    pub(crate) fn setup_potential<'t>(
+        &self,
+        circuit: &Circuit,
+        timing: &'t impl TimingView,
+    ) -> impl Fn(NetId, Edge) -> bool + 't {
+        let deadline = Bound::new(Time::NEG_INFINITY, self.clock_period).expect("valid");
+        let q = required_times(circuit, timing, [deadline, deadline]);
+        let extra = self.fault_model.extra_delay;
+        move |net, edge| {
+            timing
+                .line(net)
+                .edge(edge)
+                .is_some_and(|w| w.arrival.l() + extra > q[net.index()][edge.index()].l)
+        }
+    }
 }
 
 /// A (possibly partially specified) two-pattern test over the primary
@@ -109,7 +130,6 @@ pub struct AtpgStats {
     pub aborted: usize,
     /// Of `detected`, the faults covered by replaying an earlier fault's
     /// test through the timing simulator instead of running the search.
-    /// Always zero for [`Atpg::run_sites`], which does not drop.
     pub dropped: usize,
 }
 
@@ -205,15 +225,6 @@ impl<'a> Atpg<'a> {
     /// see [`crate::driver::CampaignResult::timing`].
     pub fn timing_stats(&self) -> ssdm_sta::IncrementalStats {
         self.itr.stats()
-    }
-
-    /// Drops the refiner's incremental timing engine (memo cache and all
-    /// window state), forcing the next refinement to start from a fresh
-    /// full pass. The retired engine's counters are banked first, so
-    /// [`Atpg::timing_stats`] is monotone non-decreasing across rebuilds
-    /// — a mid-campaign rebuild never silently loses statistics.
-    pub fn rebuild_engine(&self) {
-        self.itr.rebuild_engine();
     }
 
     /// Targets one site: tries both fault polarities; reports `Detected`
@@ -371,24 +382,6 @@ impl<'a> Atpg<'a> {
         Ok(FaultOutcome::Aborted)
     }
 
-    /// Runs a whole campaign over many sites.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Atpg::run_site`].
-    pub fn run_sites(&self, sites: &[CrosstalkSite]) -> Result<AtpgStats, AtpgError> {
-        let _span = ssdm_obs::span("atpg.campaign");
-        let mut stats = AtpgStats::default();
-        for &site in sites {
-            match self.run_site(site)? {
-                FaultOutcome::Detected(_) => stats.detected += 1,
-                FaultOutcome::Undetectable => stats.undetectable += 1,
-                FaultOutcome::Aborted => stats.aborted += 1,
-            }
-        }
-        Ok(stats)
-    }
-
     fn assign(&self, a: &mut Assignments, pi: NetId, frame: Frame, value: bool) -> Result<(), ()> {
         let v2 = match frame {
             Frame::First => V2::new(Tri::from_bool(value), Tri::X),
@@ -471,7 +464,7 @@ impl<'a> Atpg<'a> {
         a: &mut Assignments,
         fault: &CrosstalkFault,
     ) -> Result<bool, AtpgError> {
-        let refined: ItrResult = match self.itr.refine(a) {
+        let refined = match self.itr.refine(a) {
             Ok(r) => r,
             Err(e) => {
                 itr_conflict(e)?;
@@ -490,19 +483,12 @@ impl<'a> Atpg<'a> {
         if !expanded.overlaps(wv.arrival) {
             return Ok(false);
         }
-        // Setup-violation potential: the victim's latest arrival plus the
-        // fault's extra delay must be able to exceed its latest required
-        // time under the clock.
-        let po_req = [
-            Bound::new(Time::NEG_INFINITY, self.config.clock_period).expect("valid"),
-            Bound::new(Time::NEG_INFINITY, self.config.clock_period).expect("valid"),
-        ];
-        let q = {
+        // Setup-violation potential under the refined windows.
+        let may_violate = {
             let _span = ssdm_obs::span("atpg.required");
-            required_times(self.circuit, &refined, po_req)
+            self.config.setup_potential(self.circuit, &refined)
         };
-        let q_v = q[fault.victim().index()][fault.victim_edge.index()];
-        Ok(wv.arrival.l() + self.config.fault_model.extra_delay > q_v.l)
+        Ok(may_violate(fault.victim(), fault.victim_edge))
     }
 
     /// PODEM backtrace: walks an objective back to an unassigned primary
@@ -670,8 +656,8 @@ mod tests {
     fn campaign_statistics_add_up() {
         let c = suite::c17();
         let sites = ssdm_netlist::coupling_sites(&c, 6, 11);
-        let atpg = Atpg::new(&c, library(), AtpgConfig::default());
-        let stats = atpg.run_sites(&sites).unwrap();
+        let driver = crate::AtpgDriver::new(&c, library(), AtpgConfig::default());
+        let stats = driver.run(&sites).unwrap().stats;
         assert_eq!(stats.total(), sites.len());
         assert!(stats.efficiency() >= 0.0 && stats.efficiency() <= 1.0);
         // c17 is tiny: nothing should need aborting.
@@ -747,25 +733,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn timing_stats_are_monotone_across_engine_rebuild() {
-        let c = suite::c17();
-        let atpg = Atpg::new(&c, library(), AtpgConfig::default());
-        let s = site(&c, "19", "10");
-        atpg.run_site(s).unwrap();
-        let before = atpg.timing_stats();
-        assert!(before.gates_evaluated > 0, "ITR must have run: {before:?}");
-        // Regression: rebuilding the engine mid-campaign used to reset
-        // the counters to zero; they must be banked instead.
-        atpg.rebuild_engine();
-        assert_eq!(atpg.timing_stats(), before, "rebuild lost statistics");
-        atpg.run_site(s).unwrap();
-        let after = atpg.timing_stats();
-        assert!(after.full_passes > before.full_passes, "fresh full pass");
-        assert!(after.gates_evaluated > before.gates_evaluated);
-        assert!(after.memo_hits >= before.memo_hits, "monotone components");
     }
 
     #[test]

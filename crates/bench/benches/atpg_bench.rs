@@ -21,7 +21,11 @@ fn bench_atpg(c: &mut Criterion) {
             },
         );
         group.bench_function(if use_itr { "with_itr" } else { "without_itr" }, |b| {
-            b.iter(|| atpg.run_sites(&sites).unwrap())
+            b.iter(|| {
+                for &site in &sites {
+                    atpg.run_site(site).unwrap();
+                }
+            })
         });
     }
     group.finish();

@@ -10,7 +10,8 @@
 //!
 //! Three configurations are timed and printed explicitly:
 //!
-//! 1. `Atpg::run_sites` — serial, every site searched (no dropping);
+//! 1. `Atpg::run_site` over every site on one generator — serial, no
+//!    dropping;
 //! 2. `AtpgDriver` with `jobs = 1` — serial driver with dropping;
 //! 3. `AtpgDriver` with `jobs = 8` — speculative parallel phase plus the
 //!    deterministic resolve pass.
@@ -86,6 +87,14 @@ fn measure(mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
+/// The no-dropping baseline: every site searched on one fresh generator.
+fn no_drop(circuit: &Circuit, lib: &CellLibrary, config: &AtpgConfig, sites: &[CrosstalkSite]) {
+    let atpg = Atpg::new(circuit, lib, config.clone());
+    for &site in sites {
+        atpg.run_site(site).expect("baseline");
+    }
+}
+
 fn run_driver(
     circuit: &Circuit,
     lib: &CellLibrary,
@@ -114,11 +123,7 @@ fn report_speedup(circuit: &Circuit, lib: &CellLibrary, sites: &[CrosstalkSite])
         parallel.drop_rate() * 100.0
     );
 
-    let t_nodrop = measure(|| {
-        Atpg::new(circuit, lib, config.clone())
-            .run_sites(sites)
-            .expect("baseline");
-    });
+    let t_nodrop = measure(|| no_drop(circuit, lib, &config, sites));
     let t_serial = measure(|| {
         run_driver(circuit, lib, &config, sites, 1);
     });
@@ -225,13 +230,7 @@ fn bench_atpg_parallel(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::from_parameter("no_drop_serial"),
         &(),
-        |b, ()| {
-            b.iter(|| {
-                Atpg::new(&circuit, &lib, config.clone())
-                    .run_sites(&sites)
-                    .expect("baseline")
-            })
-        },
+        |b, ()| b.iter(|| no_drop(&circuit, &lib, &config, &sites)),
     );
     for jobs in [1usize, 8] {
         group.bench_with_input(

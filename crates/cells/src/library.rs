@@ -593,15 +593,16 @@ mod tests {
     use super::*;
     use crate::cell::tests::toy_nand2;
 
-    /// The one test that characterizes from scratch: a cold fast library,
-    /// built on two workers, is byte-identical to the pinned copy the
-    /// benchmark checks against.
+    /// The one test that characterizes a whole library from scratch: a
+    /// cold fast library, built on two workers, is byte-identical to the
+    /// pinned copy the benchmark checks against, and parsing that copy
+    /// gives back the characterized library. Every other test binary
+    /// parses the pinned copy instead of characterizing.
     #[test]
     fn cold_fast_library_matches_pinned_copy() {
         let pinned = include_str!("../../../perfbench/data/library-fast.txt");
-        let text = CellLibrary::characterize_standard_with_jobs(&CharConfig::fast(), 2)
-            .unwrap()
-            .to_text();
+        let cold = CellLibrary::characterize_standard_with_jobs(&CharConfig::fast(), 2).unwrap();
+        let text = cold.to_text();
         if let Some((ln, (got, want))) = text
             .lines()
             .zip(pinned.lines())
@@ -611,6 +612,7 @@ mod tests {
             panic!("line {}: got {got:?}, pinned {want:?}", ln + 1);
         }
         assert_eq!(text, pinned);
+        assert_eq!(CellLibrary::from_text(pinned).unwrap(), cold);
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub mod refine;
 pub mod rules;
 
 pub use error::ItrError;
-pub use refine::{Itr, ItrResult};
+pub use refine::Itr;
 pub use rules::{implied_settings, OptTarget, Setting};

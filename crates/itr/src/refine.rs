@@ -1,30 +1,23 @@
 //! The ITR window recomputation (Section 5.2).
 //!
-//! Two entry points compute the same refined windows:
+//! [`Itr::refine`] runs logic implication, maps the two-frame logic
+//! states onto per-net [`Participation`] and hands them to the shared
+//! [`IncrementalSta`] engine. The engine recomputes only the dirty cone
+//! of nets whose participation changed since the previous call and
+//! memoizes repeated per-gate states across backtracks. Its result is a
+//! plain [`StaResult`], bit-identical to a memo-free [`GateTable::pass`]
+//! under the same participation map; the tests below check exactly that.
 //!
-//! * [`Itr::refine`] — the production path. It maps the two-frame logic
-//!   states onto per-net [`Participation`] and hands them to the shared
-//!   [`IncrementalSta`] engine, which recomputes only the dirty cone of
-//!   nets whose participation changed since the previous call (plus
-//!   memoizes repeated per-gate states across backtracks).
-//! * [`Itr::refine_full`] — a memo-free full pass through the same gate
-//!   kernel ([`GateTable::pass`]), with no state reuse. This is the
-//!   oracle the incremental path's dirty cone, memo and early cutoff are
-//!   tested against: results must be **bit-identical**.
-//!
-//! Both paths run logic implication first, so a single call sees the full
-//! transitive consequences of the caller's assignments.
+//! [`GateTable::pass`]: ssdm_sta::GateTable::pass
 
-use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::cell::RefCell;
 
 use ssdm_cells::CellLibrary;
-use ssdm_core::{Bound, Edge, Time};
+use ssdm_core::Edge;
 use ssdm_logic::{imply, Assignments, TransState};
-use ssdm_netlist::{Circuit, NetId};
+use ssdm_netlist::Circuit;
 use ssdm_sta::{
-    DelaysUsed, GateTable, IncrementalSta, IncrementalStats, LineTiming, Participation,
-    ParticipationMap, SharedTiming, StaConfig, TimingView,
+    IncrementalSta, IncrementalStats, Participation, ParticipationMap, StaConfig, StaResult,
 };
 
 use crate::error::ItrError;
@@ -41,72 +34,6 @@ pub struct Itr<'a> {
     engine: RefCell<Option<IncrementalSta<'a>>>,
     /// The participation map of the latest call, refilled in place.
     part: RefCell<ParticipationMap>,
-    /// Counters banked from engines dropped by [`Itr::rebuild_engine`],
-    /// so [`Itr::stats`] stays monotone across rebuilds.
-    retired_stats: Cell<IncrementalStats>,
-}
-
-/// Refined timing windows under a partial two-frame assignment.
-///
-/// A result shares the refiner's state copy-on-write, so returning it
-/// copies nothing. Holding it across the next [`Itr::refine`] that changes
-/// a window costs one copy of the state in that call; dropping it first
-/// costs none.
-#[derive(Debug, Clone)]
-pub struct ItrResult {
-    lines: Arc<Vec<LineTiming>>,
-    used: Arc<Vec<DelaysUsed>>,
-    inverting: Arc<[bool]>,
-}
-
-impl TimingView for ItrResult {
-    fn line(&self, net: NetId) -> &LineTiming {
-        &self.lines[net.index()]
-    }
-
-    fn delay_used(&self, gate: NetId, pin: usize, in_edge: Edge) -> Option<Bound> {
-        self.used
-            .get(gate.index())
-            .and_then(|pins| pins.get(pin))
-            .and_then(|edges| edges[in_edge.index()])
-    }
-
-    fn gate_inverting(&self, net: NetId) -> bool {
-        self.inverting[net.index()]
-    }
-}
-
-impl From<SharedTiming> for ItrResult {
-    fn from(shared: SharedTiming) -> ItrResult {
-        let SharedTiming {
-            lines,
-            used,
-            inverting,
-        } = shared;
-        ItrResult {
-            lines,
-            used,
-            inverting,
-        }
-    }
-}
-
-impl ItrResult {
-    /// The windows of a line (inherent mirror of [`TimingView::line`]).
-    pub fn line(&self, net: NetId) -> &LineTiming {
-        &self.lines[net.index()]
-    }
-
-    /// Sum of all arrival-window widths — the refinement progress metric
-    /// used by the experiments (smaller = tighter analysis).
-    pub fn total_arrival_width(&self) -> Time {
-        self.lines
-            .iter()
-            .flat_map(|lt| [lt.rise, lt.fall])
-            .flatten()
-            .map(|e| e.arrival.width())
-            .sum()
-    }
 }
 
 /// Maps a logic transition state onto timing participation.
@@ -128,7 +55,6 @@ impl<'a> Itr<'a> {
             config,
             engine: RefCell::new(None),
             part: RefCell::new(ParticipationMap::new()),
-            retired_stats: Cell::new(IncrementalStats::default()),
         }
     }
 
@@ -155,8 +81,13 @@ impl<'a> Itr<'a> {
     /// Successive calls reuse the engine built on the first call: only the
     /// fan-out cone of nets whose participation changed is re-evaluated,
     /// and repeated per-gate states (common under ATPG backtracking) are
-    /// served from a memo cache. The result is guaranteed bit-identical to
-    /// [`Itr::refine_full`].
+    /// served from a memo cache. The result is bit-identical to a
+    /// from-scratch pass under the same participation.
+    ///
+    /// The result shares the engine's state copy-on-write, so returning it
+    /// copies nothing. Holding it across the next call that changes a
+    /// window costs one copy of the state in that call; dropping it first
+    /// costs none.
     ///
     /// When provenance events are on ([`ssdm_obs::set_events_enabled`]),
     /// every incremental pass records one `itr.shrink` event per window
@@ -169,7 +100,7 @@ impl<'a> Itr<'a> {
     ///
     /// * [`ItrError::Logic`] — the assignment is self-inconsistent;
     /// * [`ItrError::Sta`] — cell lookup / propagation failure.
-    pub fn refine(&self, assignments: &mut Assignments) -> Result<ItrResult, ItrError> {
+    pub fn refine(&self, assignments: &mut Assignments) -> Result<StaResult, ItrError> {
         let _span = ssdm_obs::span("itr.refine");
         {
             let _span = ssdm_obs::span("itr.imply");
@@ -188,70 +119,58 @@ impl<'a> Itr<'a> {
         let engine = slot.as_mut().expect("engine initialized above");
         engine.refine(&part)?;
         let _span = ssdm_obs::span("itr.copy");
-        Ok(engine.share().into())
+        Ok(engine.share())
     }
 
-    /// Counters accumulated over this refiner's whole lifetime: the live
-    /// engine's counters plus everything banked from engines retired by
-    /// [`Itr::rebuild_engine`]. Monotone non-decreasing — zeroes before
-    /// the first [`Itr::refine`] call.
+    /// Counters of the refiner's engine since it was built by the first
+    /// [`Itr::refine`] call (zeroes before it).
     pub fn stats(&self) -> IncrementalStats {
-        self.retired_stats.get()
-            + self
-                .engine
-                .borrow()
-                .as_ref()
-                .map(|e| e.stats())
-                .unwrap_or_default()
-    }
-
-    /// Drops the incremental engine (memo cache, window state), forcing
-    /// the next [`Itr::refine`] to rebuild it with a fresh full pass.
-    ///
-    /// This is the memory-release valve for long campaigns: the memo
-    /// cache and per-net state of a retired engine are freed, while its
-    /// work counters are banked first so [`Itr::stats`] never goes
-    /// backwards across a rebuild.
-    pub fn rebuild_engine(&self) {
-        if let Some(engine) = self.engine.borrow_mut().take() {
-            self.retired_stats
-                .set(self.retired_stats.get() + engine.stats());
-        }
-    }
-
-    /// Recomputes all timing windows from scratch, ignoring and not
-    /// touching any engine state.
-    ///
-    /// This is the reference implementation [`Itr::refine`] is verified
-    /// against (see `tests/properties.rs`), and the baseline the
-    /// `itr_incremental` benchmark compares to.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Itr::refine`].
-    pub fn refine_full(&self, assignments: &mut Assignments) -> Result<ItrResult, ItrError> {
-        let _span = ssdm_obs::span("itr.refine_full");
-        imply(self.circuit, assignments)?;
-        let mut part = ParticipationMap::new();
-        self.fill_participation(assignments, &mut part);
-        let table = GateTable::new(self.circuit, self.library, &self.config)?;
-        Ok(SharedTiming::from(table.pass(&part)?).into())
+        self.engine
+            .borrow()
+            .as_ref()
+            .map(|e| e.stats())
+            .unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_cells::{CellLibrary, CharConfig};
+    use proptest::prelude::*;
+    use ssdm_core::{Bound, Time};
     use ssdm_logic::{Tri, V2};
-    use ssdm_netlist::suite;
+    use ssdm_netlist::{generate, suite, GeneratorConfig};
+    use ssdm_sta::GateTable;
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
+    /// The pinned fast-grid library, parsed once per test binary.
     fn library() -> &'static CellLibrary {
         static LIB: OnceLock<CellLibrary> = OnceLock::new();
         LIB.get_or_init(|| {
-            CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
+            CellLibrary::from_text(include_str!("../../../perfbench/data/library-fast.txt"))
+                .expect("pinned library parses")
         })
+    }
+
+    /// The oracle [`Itr::refine`] is checked against: implication, then
+    /// one memo-free kernel pass under the resulting participation, with
+    /// no engine state.
+    fn refine_full(itr: &Itr<'_>, assignments: &mut Assignments) -> Result<StaResult, ItrError> {
+        imply(itr.circuit, assignments)?;
+        let mut part = ParticipationMap::new();
+        itr.fill_participation(assignments, &mut part);
+        let table = GateTable::new(itr.circuit, itr.library, &itr.config)?;
+        Ok(table.pass(&part)?)
+    }
+
+    /// Sum of all arrival-window widths: smaller means a tighter analysis.
+    fn total_arrival_width(r: &StaResult) -> Time {
+        r.lines()
+            .iter()
+            .flat_map(|lt| [lt.rise, lt.fall])
+            .flatten()
+            .map(|e| e.arrival.width())
+            .sum()
     }
 
     /// Held by the tests that touch the process-global `ssdm-obs`
@@ -271,18 +190,9 @@ mod tests {
     fn all_unknown_matches_sta() {
         // STA is the ITR special case where S = 0 everywhere (Section 5.1).
         let c = suite::c17();
-        let sta = sta_result(&c);
         let itr = Itr::new(&c, library(), StaConfig::default());
-        let mut a = Assignments::new(c.n_nets());
-        let r = itr.refine(&mut a).unwrap();
-        for id in c.topo() {
-            assert_eq!(
-                sta.line(id),
-                r.line(id),
-                "net {} diverges from STA",
-                c.gate(id).name
-            );
-        }
+        let r = itr.refine(&mut Assignments::new(c.n_nets())).unwrap();
+        assert_eq!(r, sta_result(&c));
     }
 
     #[test]
@@ -303,31 +213,80 @@ mod tests {
         for &(pi, v) in &steps {
             a.set(inputs[pi], v).unwrap();
             let inc = itr.refine(&mut a).unwrap();
-            let full = itr.refine_full(&mut a.clone()).unwrap();
-            for id in c.topo() {
-                assert_eq!(inc.line(id), full.line(id), "net {}", c.gate(id).name);
-            }
-            assert_eq!(inc.used, full.used);
-            assert_eq!(inc.inverting, full.inverting);
+            let full = refine_full(&itr, &mut a.clone()).unwrap();
+            assert_eq!(inc, full, "after PI {pi}");
         }
         // Retract everything (PODEM backtrack) and check again.
         a = snapshot;
         let inc = itr.refine(&mut a).unwrap();
-        let full = itr.refine_full(&mut a.clone()).unwrap();
-        for id in c.topo() {
-            assert_eq!(
-                inc.line(id),
-                full.line(id),
-                "after retraction: net {}",
-                c.gate(id).name
-            );
-        }
+        let full = refine_full(&itr, &mut a.clone()).unwrap();
+        assert_eq!(inc, full, "after retraction");
         let stats = itr.stats();
         assert!(stats.incremental_passes >= 4, "stats: {stats:?}");
         assert!(
             stats.memo_hits > 0,
             "backtrack should hit the memo: {stats:?}"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The incremental engine is bit-identical to a from-scratch
+        /// recompute over random circuits and random assignment sequences,
+        /// including retractions (PODEM-style backtracks restoring an
+        /// earlier snapshot), which exercise the dirty-cone seeding in both
+        /// directions and the memo cache on revisited states.
+        #[test]
+        fn incremental_itr_matches_full_recompute(seed in 0u64..300, n_gates in 40usize..140, script in 0u64..u64::MAX) {
+            let cfg = GeneratorConfig::iscas_like("inc", 10, 5, n_gates, seed);
+            let circuit = generate(&cfg);
+            let itr = Itr::new(&circuit, library(), StaConfig::default());
+            let pis = circuit.inputs().to_vec();
+            let mut a = Assignments::new(circuit.n_nets());
+            let mut stack: Vec<Assignments> = Vec::new();
+            for step in 0..12u32 {
+                let r = script >> (step * 5) & 0x1f;
+                if r & 0b11 == 0 && !stack.is_empty() {
+                    // Backtrack: retract to an earlier snapshot.
+                    a = stack.pop().unwrap();
+                } else {
+                    let pi = pis[(r as usize >> 2) % pis.len()];
+                    let v = match r % 4 {
+                        0 => V2::steady(false),
+                        1 => V2::steady(true),
+                        2 => V2::transition(Edge::Rise),
+                        _ => V2::transition(Edge::Fall),
+                    };
+                    let mut next = a.clone();
+                    if next.set(pi, v).is_err() {
+                        continue; // PI already pinned differently — skip step
+                    }
+                    stack.push(a);
+                    a = next;
+                }
+                // Run both paths on clones so a conflict leaves `a` untouched.
+                let mut a_inc = a.clone();
+                let mut a_full = a.clone();
+                match (itr.refine(&mut a_inc), refine_full(&itr, &mut a_full)) {
+                    (Ok(inc), Ok(full)) => {
+                        // Windows, used delays, inverting flags and model.
+                        prop_assert_eq!(inc, full, "step {}", step);
+                        a = a_inc; // keep the implied state for the next step
+                    }
+                    (Err(_), Err(_)) => {
+                        // Both must agree the state is inconsistent; undo.
+                        a = stack.pop().unwrap_or_else(|| Assignments::new(circuit.n_nets()));
+                    }
+                    (inc, full) => {
+                        return Err(TestCaseError::fail(format!(
+                            "paths disagree on consistency: incremental {:?} vs full {:?}",
+                            inc.map(|_| ()), full.map(|_| ())
+                        )));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -354,12 +313,9 @@ mod tests {
         let held = itr.refine(&mut a.clone()).unwrap();
         let later = itr.refine(&mut b.clone()).unwrap();
         assert_eq!(itr.stats().state_copies, 1);
-        for (got, want) in [(&held, fresh(&a)), (&later, fresh(&b))] {
-            assert_eq!(got.lines, want.lines);
-            assert_eq!(got.used, want.used);
-            assert_eq!(got.inverting, want.inverting);
-        }
-        assert_ne!(held.lines, later.lines);
+        assert_eq!(held, fresh(&a));
+        assert_eq!(later, fresh(&b));
+        assert_ne!(held.lines(), later.lines());
     }
 
     #[test]
@@ -389,7 +345,7 @@ mod tests {
                     next.line(id)
                 );
             }
-            assert!(next.total_arrival_width() <= prev.total_arrival_width() + Time::from_ns(1e-9));
+            assert!(total_arrival_width(&next) <= total_arrival_width(&prev) + Time::from_ns(1e-9));
             prev = next;
         }
     }
@@ -476,29 +432,6 @@ mod tests {
         let g16 = c.find("16").unwrap();
         assert!(r.line(g16).rise.is_some());
         assert!(r.line(g16).fall.is_some());
-    }
-
-    #[test]
-    fn stats_survive_engine_rebuild() {
-        let c = suite::c17();
-        let itr = Itr::new(&c, library(), StaConfig::default());
-        let mut a = Assignments::new(c.n_nets());
-        itr.refine(&mut a).unwrap();
-        a.set(c.inputs()[0], V2::transition(Edge::Rise)).unwrap();
-        itr.refine(&mut a).unwrap();
-        let before = itr.stats();
-        assert!(before.full_passes >= 1 && before.incremental_passes >= 1);
-        itr.rebuild_engine();
-        assert_eq!(itr.stats(), before, "rebuild must bank, not reset");
-        // Rebuilding twice in a row (no live engine) is harmless.
-        itr.rebuild_engine();
-        assert_eq!(itr.stats(), before);
-        // Work after the rebuild accumulates on top of the banked values.
-        let mut b = Assignments::new(c.n_nets());
-        itr.refine(&mut b).unwrap();
-        let after = itr.stats();
-        assert_eq!(after.full_passes, before.full_passes + 1);
-        assert!(after.gates_evaluated > before.gates_evaluated);
     }
 
     #[test]

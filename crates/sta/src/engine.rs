@@ -1,5 +1,7 @@
 //! Full-circuit forward static timing analysis (Section 4).
 
+use std::sync::Arc;
+
 use ssdm_cells::CellLibrary;
 use ssdm_core::{Bound, Capacitance, Edge, Time};
 use ssdm_netlist::{Circuit, NetId};
@@ -53,14 +55,19 @@ pub struct Sta<'a> {
 
 /// Forward-analysis results: per-line windows plus the delay bounds each
 /// gate consumed from each input (for the backward pass and for ITR).
-#[derive(Debug, Clone)]
+///
+/// Plain STA and ITR produce the same result: STA is ITR with every
+/// transition state unknown. The arrays sit behind `Arc`s, so a clone
+/// copies nothing; the incremental engine keeps its state in one and
+/// shares it copy-on-write ([`crate::IncrementalSta::share`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaResult {
-    lines: Vec<LineTiming>,
+    pub(crate) lines: Arc<Vec<LineTiming>>,
     /// `used[gate_net][pin][in_edge.index()]` — delay window from that
     /// input edge to the corresponding output edge.
-    used: Vec<DelaysUsed>,
+    pub(crate) used: Arc<Vec<DelaysUsed>>,
     /// Whether each composite gate is logically inverting.
-    inverting: Vec<bool>,
+    inverting: Arc<[bool]>,
     model: ModelKind,
 }
 
@@ -174,23 +181,18 @@ impl TimingView for StaResult {
 
 impl StaResult {
     /// Assembles a result from a pass's state.
-    pub(crate) fn from_parts(
+    pub(crate) fn new(
         lines: Vec<LineTiming>,
         used: Vec<DelaysUsed>,
         inverting: Vec<bool>,
         model: ModelKind,
     ) -> StaResult {
         StaResult {
-            lines,
-            used,
-            inverting,
+            lines: Arc::new(lines),
+            used: Arc::new(used),
+            inverting: inverting.into(),
             model,
         }
-    }
-
-    /// The per-line windows, per-gate used delays and inverting flags.
-    pub(crate) fn into_parts(self) -> (Vec<LineTiming>, Vec<DelaysUsed>, Vec<bool>) {
-        (self.lines, self.used, self.inverting)
     }
 
     /// The windows of a line.

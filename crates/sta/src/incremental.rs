@@ -92,8 +92,8 @@ pub struct IncrementalStats {
     pub memo_misses: u64,
     /// Times the memo cache hit its size cap and was cleared.
     pub memo_evictions: u64,
-    /// Copies of the window state made because a [`SharedTiming`] (an
-    /// ITR result) still held it when a pass changed it
+    /// Copies of the window state made because a result taken by
+    /// [`IncrementalSta::share`] still held it when a pass changed it
     /// (`itr.copy.cloned`).
     pub state_copies: u64,
 }
@@ -269,31 +269,6 @@ impl Worklist {
     }
 }
 
-/// The engine's window state, shared copy-on-write by
-/// [`IncrementalSta::share`]: taking it copies nothing, and a later pass
-/// copies the engine's state once, at its first change, only while a
-/// `SharedTiming` taken before is still alive.
-#[derive(Debug, Clone)]
-pub struct SharedTiming {
-    /// Per-line windows, indexed by net.
-    pub lines: Arc<Vec<LineTiming>>,
-    /// Per-gate used-delay records, indexed by net.
-    pub used: Arc<Vec<DelaysUsed>>,
-    /// Whether each composite gate is logically inverting.
-    pub inverting: Arc<[bool]>,
-}
-
-impl From<StaResult> for SharedTiming {
-    fn from(r: StaResult) -> SharedTiming {
-        let (lines, used, inverting) = r.into_parts();
-        SharedTiming {
-            lines: Arc::new(lines),
-            used: Arc::new(used),
-            inverting: inverting.into(),
-        }
-    }
-}
-
 fn push_line(words: &mut Vec<u64>, lt: &LineTiming) {
     for edge in Edge::BOTH {
         match lt.edge(edge) {
@@ -323,9 +298,8 @@ fn part_code(p: [Participation; 2]) -> u64 {
 pub struct IncrementalSta<'a> {
     table: GateTable<'a>,
     part: ParticipationMap,
-    lines: Arc<Vec<LineTiming>>,
-    used: Arc<Vec<DelaysUsed>>,
-    inverting: Arc<[bool]>,
+    /// The windows and used delays under `part`, shared copy-on-write.
+    state: StaResult,
     memo: Memo,
     /// Scratch buffer the serial passes build memo keys in.
     key: Vec<u64>,
@@ -359,13 +333,16 @@ impl<'a> IncrementalSta<'a> {
     ) -> Result<IncrementalSta<'a>, StaError> {
         let table = GateTable::new(circuit, library, &config)?;
         let n = circuit.n_nets();
-        let inverting = table.inverting().into();
+        let state = StaResult::new(
+            vec![LineTiming::default(); n],
+            vec![DelaysUsed::default(); n],
+            table.inverting(),
+            table.model(),
+        );
         Ok(IncrementalSta {
             table,
             part: unconstrained_participation(n),
-            lines: Arc::new(vec![LineTiming::default(); n]),
-            used: Arc::new(vec![DelaysUsed::default(); n]),
-            inverting,
+            state,
             memo: Memo::default(),
             key: Vec::new(),
             worklist: Worklist {
@@ -389,7 +366,7 @@ impl<'a> IncrementalSta<'a> {
     /// fresh engine or [`crate::Sta::run`].
     fn eval_gate_uncached(&self, idx: usize) -> Result<(LineTiming, DelaysUsed), StaError> {
         self.table.eval(idx, self.part[idx], |f| PinWindow {
-            timing: self.lines[f.index()],
+            timing: self.state.lines[f.index()],
             participation: self.part[f.index()],
         })
     }
@@ -403,7 +380,7 @@ impl<'a> IncrementalSta<'a> {
         key.push(part_code(self.part[idx]));
         for &f in &self.table.circuit().gate(NetId(idx)).fanin {
             key.push(part_code(self.part[f.index()]));
-            push_line(key, &self.lines[f.index()]);
+            push_line(key, &self.state.lines[f.index()]);
         }
     }
 
@@ -440,12 +417,13 @@ impl<'a> IncrementalSta<'a> {
     }
 
     /// Stores net `idx`'s new state, copying the whole state first when a
-    /// [`SharedTiming`] still holds it.
+    /// shared result still holds it.
     fn store(&mut self, idx: usize, lt: LineTiming, du: DelaysUsed) {
-        let held = (Arc::as_ptr(&self.lines), Arc::as_ptr(&self.used));
-        Arc::make_mut(&mut self.lines)[idx] = lt;
-        Arc::make_mut(&mut self.used)[idx] = du;
-        if held != (Arc::as_ptr(&self.lines), Arc::as_ptr(&self.used)) {
+        let state = &mut self.state;
+        let held = (Arc::as_ptr(&state.lines), Arc::as_ptr(&state.used));
+        Arc::make_mut(&mut state.lines)[idx] = lt;
+        Arc::make_mut(&mut state.used)[idx] = du;
+        if held != (Arc::as_ptr(&state.lines), Arc::as_ptr(&state.used)) {
             self.stats.state_copies += 1;
         }
     }
@@ -460,7 +438,7 @@ impl<'a> IncrementalSta<'a> {
     /// # Panics
     ///
     /// Panics when `part.len()` differs from the circuit's net count.
-    pub fn full_pass(&mut self, part: &[[Participation; 2]]) -> Result<(), StaError> {
+    pub(crate) fn full_pass(&mut self, part: &[[Participation; 2]]) -> Result<(), StaError> {
         let circuit = self.table.circuit();
         assert_eq!(part.len(), circuit.n_nets(), "participation size");
         let _span = ssdm_obs::span("sta.full_pass");
@@ -478,8 +456,7 @@ impl<'a> IncrementalSta<'a> {
     /// participation map, then recomputes only the dirty cone, stopping
     /// at gates whose windows come out unchanged.
     ///
-    /// The first call (or any call before a full pass) falls back to
-    /// [`IncrementalSta::full_pass`].
+    /// The first call runs a full pass instead, evaluating every net.
     ///
     /// Returns the number of gate evaluations performed.
     ///
@@ -540,10 +517,10 @@ impl<'a> IncrementalSta<'a> {
             evaluated += 1;
             // Fan-outs read this net's windows, not its used delays: a
             // change to the delays alone is stored without waking them.
-            let window_changed = lt != self.lines[i];
-            if window_changed || du != self.used[i] {
+            let window_changed = lt != self.state.lines[i];
+            if window_changed || du != self.state.used[i] {
                 if events {
-                    emit_shrink_events(i as u32, &self.lines[i], &lt, seeded[i]);
+                    emit_shrink_events(i as u32, &self.state.lines[i], &lt, seeded[i]);
                 }
                 self.store(i, lt, du);
             }
@@ -562,48 +539,16 @@ impl<'a> IncrementalSta<'a> {
         Ok(evaluated)
     }
 
-    /// The current per-line windows, indexed by net.
-    pub fn lines(&self) -> &[LineTiming] {
-        &self.lines
-    }
-
-    /// The current per-gate used-delay records, indexed by net.
-    pub fn used(&self) -> &[DelaysUsed] {
-        &self.used
-    }
-
-    /// Whether each composite gate is logically inverting.
-    pub fn inverting(&self) -> &[bool] {
-        &self.inverting
-    }
-
-    /// Shares the current state without copying it; see [`SharedTiming`].
-    pub fn share(&self) -> SharedTiming {
-        SharedTiming {
-            lines: Arc::clone(&self.lines),
-            used: Arc::clone(&self.used),
-            inverting: Arc::clone(&self.inverting),
-        }
+    /// Shares the current state without copying it. Taking it copies
+    /// nothing; the next pass that changes a window or used delay copies
+    /// the engine's state once, and only while the result is still held.
+    pub fn share(&self) -> StaResult {
+        self.state.clone()
     }
 
     /// Work counters accumulated since construction.
     pub fn stats(&self) -> IncrementalStats {
         self.stats
-    }
-
-    /// Clones the current state into a [`StaResult`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when no pass has run yet.
-    pub fn snapshot(&self) -> StaResult {
-        assert!(self.primed, "snapshot before any pass");
-        StaResult::from_parts(
-            self.lines.to_vec(),
-            self.used.to_vec(),
-            self.inverting.to_vec(),
-            self.table.model(),
-        )
     }
 }
 
@@ -662,9 +607,7 @@ mod tests {
         let mut eng = IncrementalSta::new(circuit, lib, StaConfig::default()).unwrap();
         let part = unconstrained_participation(circuit.n_nets());
         eng.full_pass(&part).unwrap();
-        for id in circuit.topo() {
-            assert_eq!(sta.line(id), &eng.lines()[id.index()], "net {id:?}");
-        }
+        assert_eq!(eng.share(), sta, "{}", circuit.name());
     }
 
     #[test]
@@ -693,8 +636,7 @@ mod tests {
         // And the refinement matches a from-scratch recomputation.
         let mut fresh = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
         fresh.full_pass(&part).unwrap();
-        assert_eq!(eng.lines(), fresh.lines());
-        assert_eq!(eng.used(), fresh.used());
+        assert_eq!(eng.share(), fresh.share());
     }
 
     /// A veto whose only effect downstream is on a fan-out's used delays
@@ -707,7 +649,7 @@ mod tests {
         let base = unconstrained_participation(c.n_nets());
         let mut eng = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
         eng.full_pass(&base).unwrap();
-        let (root_lines, root_used) = (eng.lines().to_vec(), eng.used().to_vec());
+        let root = eng.share();
         let mut found = false;
         'search: for x in c.topo() {
             let mut fanouts = c.fanouts(x).to_vec();
@@ -722,19 +664,19 @@ mod tests {
                 // Wanted: every fan-out keeps its windows, and one whose
                 // used delays moved has a fan-out outside `x`'s, which
                 // only the cutoff keeps asleep.
+                let now = eng.share();
                 let quiet = fanouts
                     .iter()
-                    .all(|g| eng.lines()[g.index()] == root_lines[g.index()]);
+                    .all(|g| now.lines[g.index()] == root.lines[g.index()]);
                 let used_only = fanouts.iter().any(|g| {
-                    eng.used()[g.index()] != root_used[g.index()]
+                    now.used[g.index()] != root.used[g.index()]
                         && c.fanouts(*g).iter().any(|h| !fanouts.contains(h))
                 });
                 if quiet && used_only {
                     assert_eq!(evaluated, 1 + fanouts.len() as u64, "net {x:?} {e}");
                     let mut fresh = IncrementalSta::new(&c, lib, StaConfig::default()).unwrap();
                     fresh.full_pass(&part).unwrap();
-                    assert_eq!(eng.lines(), fresh.lines());
-                    assert_eq!(eng.used(), fresh.used());
+                    assert_eq!(now, fresh.share());
                     found = true;
                     break 'search;
                 }
@@ -875,7 +817,7 @@ mod tests {
             let part = unconstrained_participation(c.n_nets());
             let mut eng = IncrementalSta::new(&c, lib, cfg).unwrap();
             eng.full_pass(&part).unwrap();
-            assert_eq!(timing_digest(&c, &eng.snapshot()), want, "{name} {model:?}");
+            assert_eq!(timing_digest(&c, &eng.share()), want, "{name} {model:?}");
             let before = eng.stats();
             eng.full_pass(&part).unwrap();
             assert_eq!(
@@ -883,7 +825,7 @@ mod tests {
                 before.memo_misses,
                 "{name} {model:?}"
             );
-            assert_eq!(timing_digest(&c, &eng.snapshot()), want, "{name} {model:?}");
+            assert_eq!(timing_digest(&c, &eng.share()), want, "{name} {model:?}");
             // So is retracting a decision back to the first pass's state.
             let mut decided = part.clone();
             decided[c.inputs()[0].index()] = [Participation::Must, Participation::Cannot];
@@ -895,7 +837,7 @@ mod tests {
                 before.memo_misses,
                 "{name} {model:?}"
             );
-            assert_eq!(timing_digest(&c, &eng.snapshot()), want, "{name} {model:?}");
+            assert_eq!(timing_digest(&c, &eng.share()), want, "{name} {model:?}");
         }
     }
 
@@ -907,7 +849,7 @@ mod tests {
         let mut eng = IncrementalSta::new(&c, lib, cfg.clone()).unwrap();
         eng.full_pass(&unconstrained_participation(c.n_nets()))
             .unwrap();
-        let snap = eng.snapshot();
+        let snap = eng.share();
         assert_eq!(snap.model(), cfg.model);
         assert_eq!(snap.lines().len(), c.n_nets());
     }

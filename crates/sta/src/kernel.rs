@@ -222,12 +222,7 @@ impl<'a> GateTable<'a> {
             lines[i] = lt;
             used[i] = du;
         }
-        Ok(StaResult::from_parts(
-            lines,
-            used,
-            self.inverting(),
-            self.model,
-        ))
+        Ok(StaResult::new(lines, used, self.inverting(), self.model))
     }
 
     /// [`GateTable::pass`] with each topological level's gates evaluated
@@ -268,12 +263,7 @@ impl<'a> GateTable<'a> {
             },
         )?;
         let (lines, used) = state;
-        Ok(StaResult::from_parts(
-            lines,
-            used,
-            self.inverting(),
-            self.model,
-        ))
+        Ok(StaResult::new(lines, used, self.inverting(), self.model))
     }
 }
 

@@ -18,8 +18,8 @@
 //!   every pass runs,
 //! * [`engine`] — the full-circuit forward pass,
 //! * [`incremental`] — the dirty-cone engine shared by STA and ITR:
-//!   participation-diff worklists, bit-exact gate-evaluation memoization
-//!   and parallel full passes,
+//!   participation-diff worklists and bit-exact gate-evaluation
+//!   memoization,
 //! * [`backward`] — required times and the delay-error check,
 //! * [`report`] — endpoint summaries and critical-path extraction.
 //!
@@ -59,7 +59,7 @@ pub mod window;
 
 pub use backward::{find_violations, required_times, violates, Required};
 pub use incremental::{
-    unconstrained_participation, IncrementalSta, IncrementalStats, ParticipationMap, SharedTiming,
+    unconstrained_participation, IncrementalSta, IncrementalStats, ParticipationMap,
 };
 
 pub use engine::{Sta, StaConfig, StaResult, TimingView};
@@ -74,18 +74,22 @@ pub use window::{EdgeTiming, LineTiming, Participation, PinWindow};
 
 #[cfg(test)]
 pub(crate) mod testlib {
-    //! Shared, once-per-binary characterized library for tests.
-    use ssdm_cells::{CellLibrary, CharConfig};
+    //! Shared, once-per-binary test library and result digest.
+    use ssdm_cells::CellLibrary;
     use ssdm_core::Edge;
     use ssdm_netlist::Circuit;
     use std::sync::OnceLock;
 
     use crate::TimingView;
 
+    /// The pinned fast-grid library, parsed once per test binary (it
+    /// equals a cold `CharConfig::fast()` characterization; `ssdm-cells`
+    /// checks that).
     pub fn library() -> &'static CellLibrary {
         static LIB: OnceLock<CellLibrary> = OnceLock::new();
         LIB.get_or_init(|| {
-            CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
+            CellLibrary::from_text(include_str!("../../../perfbench/data/library-fast.txt"))
+                .expect("pinned library parses")
         })
     }
 

@@ -244,15 +244,17 @@ impl<'a, M: DelayModel> TimingSim<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_cells::{CellLibrary, CharConfig};
+    use ssdm_cells::CellLibrary;
     use ssdm_models::{PinToPinModel, ProposedModel};
     use ssdm_netlist::{suite, CircuitBuilder};
     use std::sync::OnceLock;
 
+    /// The pinned fast-grid library, parsed once per test binary.
     fn library() -> &'static CellLibrary {
         static LIB: OnceLock<CellLibrary> = OnceLock::new();
         LIB.get_or_init(|| {
-            CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
+            CellLibrary::from_text(include_str!("../../../perfbench/data/library-fast.txt"))
+                .expect("pinned library parses")
         })
     }
 

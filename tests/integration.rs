@@ -3,8 +3,8 @@
 
 use std::sync::OnceLock;
 
-use ssdm::atpg::{Atpg, AtpgConfig, FaultOutcome};
-use ssdm::cells::{CellLibrary, CharConfig};
+use ssdm::atpg::{Atpg, AtpgConfig, AtpgStats, FaultOutcome};
+use ssdm::cells::CellLibrary;
 use ssdm::itr::Itr;
 use ssdm::logic::{Assignments, V2};
 use ssdm::models::{DelayModel, PinToPinModel, ProposedModel, SpiceReference};
@@ -12,10 +12,12 @@ use ssdm::netlist::{coupling_sites, parse_bench, suite, write_bench};
 use ssdm::sta::{find_violations, required_times, ModelKind, Sta, StaConfig};
 use ssdm::timing::{Bound, Edge, Time, Transition};
 
+/// The pinned fast-grid library, parsed once per test binary.
 fn library() -> &'static CellLibrary {
     static LIB: OnceLock<CellLibrary> = OnceLock::new();
     LIB.get_or_init(|| {
-        CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
+        CellLibrary::from_text(include_str!("../perfbench/data/library-fast.txt"))
+            .expect("pinned library parses")
     })
 }
 
@@ -191,8 +193,20 @@ fn atpg_with_itr_meets_or_beats_blind_search_on_c17() {
             ..AtpgConfig::default()
         },
     );
-    let sw = with.run_sites(&sites).unwrap();
-    let so = without.run_sites(&sites).unwrap();
+    // Every site searched on one generator, none dropped.
+    let campaign = |atpg: &Atpg<'_>| {
+        let mut stats = AtpgStats::default();
+        for &site in &sites {
+            match atpg.run_site(site).unwrap() {
+                FaultOutcome::Detected(_) => stats.detected += 1,
+                FaultOutcome::Undetectable => stats.undetectable += 1,
+                FaultOutcome::Aborted => stats.aborted += 1,
+            }
+        }
+        stats
+    };
+    let sw = campaign(&with);
+    let so = campaign(&without);
     assert!(
         sw.efficiency() >= so.efficiency() - 1e-12,
         "ITR efficiency {} < blind {}",

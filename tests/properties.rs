@@ -4,7 +4,7 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use ssdm::cells::{CellLibrary, CharConfig};
+use ssdm::cells::CellLibrary;
 use ssdm::itr::Itr;
 use ssdm::logic::{imply, simulate_two_frames, Assignments, Tri, V2};
 use ssdm::models::{DelayModel, ProposedModel};
@@ -12,10 +12,12 @@ use ssdm::netlist::{generate, suite, GeneratorConfig};
 use ssdm::sta::{ModelKind, Sta, StaConfig};
 use ssdm::timing::{Edge, Time, Transition};
 
+/// The pinned fast-grid library, parsed once per test binary.
 fn library() -> &'static CellLibrary {
     static LIB: OnceLock<CellLibrary> = OnceLock::new();
     LIB.get_or_init(|| {
-        CellLibrary::characterize_standard(&CharConfig::fast()).expect("characterization")
+        CellLibrary::from_text(include_str!("../perfbench/data/library-fast.txt"))
+            .expect("pinned library parses")
     })
 }
 
@@ -169,77 +171,6 @@ proptest! {
                     "{label}: net {} ttime {} outside {}",
                     circuit.gate(id).name, ev.ttime, w.ttime
                 );
-            }
-        }
-    }
-
-    /// The incremental ITR engine is bit-identical to a from-scratch
-    /// recompute over random circuits and random assignment sequences —
-    /// including retractions (PODEM-style backtracks restoring an earlier
-    /// snapshot), which exercise the dirty-cone seeding in both
-    /// directions and the memo cache on revisited states.
-    #[test]
-    fn incremental_itr_matches_full_recompute(seed in 0u64..300, n_gates in 40usize..140, script in 0u64..u64::MAX) {
-        use ssdm::sta::TimingView;
-        let cfg = GeneratorConfig::iscas_like("inc", 10, 5, n_gates, seed);
-        let circuit = generate(&cfg);
-        let lib = library();
-        let itr = Itr::new(&circuit, lib, StaConfig::default());
-        let pis = circuit.inputs().to_vec();
-        let mut a = Assignments::new(circuit.n_nets());
-        let mut stack: Vec<Assignments> = Vec::new();
-        for step in 0..12u32 {
-            let r = script >> (step * 5) & 0x1f;
-            if r & 0b11 == 0 && !stack.is_empty() {
-                // Backtrack: retract to an earlier snapshot.
-                a = stack.pop().unwrap();
-            } else {
-                let pi = pis[(r as usize >> 2) % pis.len()];
-                let v = match r % 4 {
-                    0 => V2::steady(false),
-                    1 => V2::steady(true),
-                    2 => V2::transition(Edge::Rise),
-                    _ => V2::transition(Edge::Fall),
-                };
-                let mut next = a.clone();
-                if next.set(pi, v).is_err() {
-                    continue; // PI already pinned differently — skip step
-                }
-                stack.push(a);
-                a = next;
-            }
-            // Run both paths on clones so a conflict leaves `a` untouched.
-            let mut a_inc = a.clone();
-            let mut a_full = a.clone();
-            let inc = itr.refine(&mut a_inc);
-            let full = itr.refine_full(&mut a_full);
-            match (inc, full) {
-                (Ok(inc), Ok(full)) => {
-                    for id in circuit.topo() {
-                        prop_assert_eq!(inc.line(id), full.line(id), "net {}", circuit.gate(id).name);
-                        prop_assert_eq!(inc.gate_inverting(id), full.gate_inverting(id));
-                        for pin in 0..circuit.gate(id).fanin.len() {
-                            for e in Edge::BOTH {
-                                prop_assert_eq!(
-                                    inc.delay_used(id, pin, e),
-                                    full.delay_used(id, pin, e),
-                                    "net {} pin {pin}", circuit.gate(id).name
-                                );
-                            }
-                        }
-                    }
-                    a = a_inc; // keep the implied state for the next step
-                }
-                (Err(_), Err(_)) => {
-                    // Both must agree the state is inconsistent; undo.
-                    a = stack.pop().unwrap_or_else(|| Assignments::new(circuit.n_nets()));
-                }
-                (inc, full) => {
-                    return Err(TestCaseError::fail(format!(
-                        "paths disagree on consistency: incremental {:?} vs full {:?}",
-                        inc.map(|_| ()), full.map(|_| ())
-                    )));
-                }
             }
         }
     }
