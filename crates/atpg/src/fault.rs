@@ -1,4 +1,4 @@
-//! The crosstalk delay fault model (Section 7, after reference [8]).
+//! The crosstalk delay fault model (Section 7, after reference \[8\]).
 
 use ssdm_core::{Edge, Time};
 use ssdm_netlist::{CrosstalkSite, NetId};

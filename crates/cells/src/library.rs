@@ -189,7 +189,9 @@ impl CellLibrary {
     /// # Errors
     ///
     /// Returns [`CellError::Parse`] with a line number for any malformed
-    /// input.
+    /// input: bad syntax, a non-finite number, an input count the text
+    /// cannot hold, an empty characterized range, or a record that does
+    /// not fit its cell. It never panics.
     pub fn from_text(text: &str) -> Result<CellLibrary, CellError> {
         Parser::new(text).parse()
     }
@@ -337,6 +339,9 @@ fn write_cell(out: &mut String, cell: &CharacterizedGate) {
 
 struct Parser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// Lines in the whole text. A cell with `n` inputs needs `2n` pin
+    /// lines, so this bounds every table sized from a header.
+    n_lines: usize,
 }
 
 struct CellHeader {
@@ -355,6 +360,7 @@ impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
         Parser {
             lines: text.lines().enumerate(),
+            n_lines: text.lines().count(),
         }
     }
 
@@ -382,7 +388,7 @@ impl<'a> Parser<'a> {
             let mut toks = line.split_whitespace();
             match toks.next() {
                 Some("cell") => {
-                    let header = Self::parse_cell_header(ln, toks)?;
+                    let header = Self::parse_cell_header(ln, toks, self.n_lines)?;
                     let cell = self.parse_cell_body(header)?;
                     lib.insert(cell);
                 }
@@ -398,6 +404,7 @@ impl<'a> Parser<'a> {
     fn parse_cell_header<'t>(
         ln: usize,
         mut toks: impl Iterator<Item = &'t str>,
+        n_lines: usize,
     ) -> Result<CellHeader, CellError> {
         let mut next = |what: &str| -> Result<&'t str, CellError> {
             toks.next()
@@ -412,12 +419,23 @@ impl<'a> Parser<'a> {
         };
         let parse_f = |s: &str, what: &str| -> Result<f64, CellError> {
             s.parse()
-                .map_err(|_| Self::err(ln, format!("bad {what}: {s:?}")))
+                .ok()
+                .filter(|x: &f64| x.is_finite())
+                .ok_or_else(|| Self::err(ln, format!("bad {what}: {s:?}")))
         };
         let n: usize = next("n")?
             .parse()
             .map_err(|_| Self::err(ln, "bad input count"))?;
-        Ok(CellHeader {
+        if n == 0 || (kind == GateKind::Inv && n != 1) {
+            return Err(Self::err(ln, format!("a {kind} cannot have {n} inputs")));
+        }
+        if n > n_lines / 2 {
+            return Err(Self::err(
+                ln,
+                format!("{n} inputs need more pin lines than the text has"),
+            ));
+        }
+        let header = CellHeader {
             name,
             kind,
             n,
@@ -427,7 +445,17 @@ impl<'a> Parser<'a> {
             input_cap: parse_f(next("input_cap")?, "input_cap")?,
             t_lo: parse_f(next("t_lo")?, "t_lo")?,
             t_hi: parse_f(next("t_hi")?, "t_hi")?,
-        })
+        };
+        if header.t_lo >= header.t_hi {
+            return Err(Self::err(
+                ln,
+                format!(
+                    "empty characterized range [{}, {}]",
+                    header.t_lo, header.t_hi
+                ),
+            ));
+        }
+        Ok(header)
     }
 
     fn parse_cell_body(&mut self, h: CellHeader) -> Result<CharacterizedGate, CellError> {
@@ -520,6 +548,9 @@ impl<'a> Parser<'a> {
                         .next()
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| Self::err(ln, "bad kway k"))?;
+                    if !(3..=h.n).contains(&k) {
+                        return Err(Self::err(ln, format!("kway {k} out of range")));
+                    }
                     let f = Self::parse_floats(ln, toks, 3)?;
                     kway.push((
                         k,
@@ -574,7 +605,9 @@ impl<'a> Parser<'a> {
         let f: Result<Vec<f64>, CellError> = toks
             .map(|s| {
                 s.parse()
-                    .map_err(|_| Self::err(ln, format!("bad float {s:?}")))
+                    .ok()
+                    .filter(|x: &f64| x.is_finite())
+                    .ok_or_else(|| Self::err(ln, format!("bad float {s:?}")))
             })
             .collect();
         let f = f?;
@@ -742,6 +775,45 @@ mod tests {
         lib.insert(toy_nand2());
         let text = lib.to_text().replace("pair 0 1", "mystery 0 1");
         assert!(CellLibrary::from_text(&text).is_err());
+    }
+
+    /// Corrupt headers and records that used to panic or abort the
+    /// process (an empty range, input counts sized into a 6.4 TB table or
+    /// past `usize` capacity, a k-way floor the cell cannot have) are
+    /// parse errors on their line.
+    #[test]
+    fn corrupt_headers_and_records_are_parse_errors() {
+        let pinned = include_str!("../../../perfbench/data/library-fast.txt");
+        let header = "cell NOR3 nor 3 1.5 3.0 9.0 9.0 0.15 1.6";
+        let line = 1 + pinned.lines().position(|l| l == header).unwrap();
+        for bad in [
+            "cell NOR3 nor 3 1.5 3.0 9.0 9.0 1e400 1.6",
+            "cell NOR3 nor 100000000000 1.5 3.0 9.0 9.0 0.15 1.6",
+            "cell NOR3 nor 18446744073709551615 1.5 3.0 9.0 9.0 0.15 1.6",
+            "cell NOR3 nor 3 1.5 3.0 9.0 9.0 1.6 0.15",
+            "cell NOR3 nor 3 1.5 NaN 9.0 9.0 0.15 1.6",
+            "cell NOR3 nor 0 1.5 3.0 9.0 9.0 0.15 1.6",
+            "cell NOR3 inv 3 1.5 3.0 9.0 9.0 0.15 1.6",
+        ] {
+            match CellLibrary::from_text(&pinned.replace(header, bad)) {
+                Err(CellError::Parse { line: l, .. }) => assert_eq!(l, line, "{bad}"),
+                other => panic!("{bad}: expected a parse error, got {other:?}"),
+            }
+        }
+        let nand2 = pinned.replace(
+            "cell NAND2 nand 2 1.5 3.0 9.0 9.0 0.15 1.6",
+            "cell NAND2 nand 2 1.5 3.0 9.0 9.0 0.15 1.6\nkway 3 0.1 0.2 0.3",
+        );
+        assert!(matches!(
+            CellLibrary::from_text(&nand2),
+            Err(CellError::Parse { .. })
+        ));
+        let inf = pinned.replacen(" 0.0", " inf", 1);
+        assert_ne!(inf, pinned);
+        assert!(matches!(
+            CellLibrary::from_text(&inf),
+            Err(CellError::Parse { .. })
+        ));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub(crate) type Pending = [Vec<NetId>; 2];
 /// give ATPG cheap backtracking.
 ///
 /// The store also remembers whether its values are closed under
-/// [`crate::imply`] and which frames of which nets [`Assignments::set`]
+/// [`fn@crate::imply`] and which frames of which nets [`Assignments::set`]
 /// changed since, so the next implication only revisits the gates around
 /// those nets, in those frames.
 /// Closure is relative to the circuit the store was last implied against:

@@ -7,9 +7,9 @@
 //! transition state `S ∈ {1, 0, −1}` ([`TransState`]) says whether a given
 //! transition definitely occurs, may occur, or cannot.
 //!
-//! [`imply`] runs forward and backward three-valued implication to a
+//! [`fn@imply`] runs forward and backward three-valued implication to a
 //! fixpoint over a [`ssdm_netlist::Circuit`], the basic engine (extended to
-//! two time frames, per reference [20] of the paper) that ITR and the ATPG
+//! two time frames, per reference \[20\] of the paper) that ITR and the ATPG
 //! are built on.
 //!
 //! # Example

@@ -1,7 +1,7 @@
 //! Baseline delay models: pin-to-pin (SDF-style) and the two published
 //! inverter-collapsing approaches the paper compares against.
 //!
-//! The Jun [6] and Nabavi [18] implementations are mechanism-faithful
+//! The Jun \[6\] and Nabavi \[18\] implementations are mechanism-faithful
 //! reconstructions (the originals are closed): both collapse the switching
 //! transistors of the gate into an equivalent inverter — parallel devices
 //! sum their widths, series chains combine reciprocally — and map the
@@ -173,7 +173,7 @@ impl CollapsingModel {
     }
 }
 
-/// The inverter-collapsing polynomial model of Jun et al. [6].
+/// The inverter-collapsing polynomial model of Jun et al. \[6\].
 #[derive(Debug, Clone)]
 pub struct JunModel {
     inner: CollapsingModel,
@@ -213,7 +213,7 @@ impl DelayModel for JunModel {
     }
 }
 
-/// The inverter model of Nabavi-Lishi and Rumin [18].
+/// The inverter model of Nabavi-Lishi and Rumin \[18\].
 #[derive(Debug, Clone)]
 pub struct NabaviModel {
     inner: CollapsingModel,

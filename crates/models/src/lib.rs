@@ -15,11 +15,11 @@
 //!   to-non-controlling transitions),
 //! * [`PinToPinModel`] — the SDF-style baseline used by conventional STA:
 //!   no simultaneous-switching awareness at all,
-//! * [`JunModel`] — the inverter-collapsing baseline of Jun et al. [6]:
+//! * [`JunModel`] — the inverter-collapsing baseline of Jun et al. \[6\]:
 //!   collapses the switching transistors into an equivalent inverter and
 //!   ignores skew saturation (accurate near zero skew, wrong for large
 //!   skew — Figure 12),
-//! * [`NabaviModel`] — the inverter model of Nabavi-Lishi & Rumin [18]:
+//! * [`NabaviModel`] — the inverter model of Nabavi-Lishi & Rumin \[18\]:
 //!   additionally assumes simultaneous transitions share a start time
 //!   (accurate only when the transition times match — Figure 11),
 //! * [`SpiceReference`] — the transistor-level simulator itself behind the

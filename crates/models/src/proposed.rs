@@ -4,7 +4,7 @@
 //! * Two simultaneous to-controlling transitions → the V-shape of Figure 2
 //!   evaluated at the actual skew.
 //! * More than two → the Section 3.6 extension, reconstructed here (the
-//!   paper defers details to tech report [9]): starting from the earliest
+//!   paper defers details to tech report \[9\]): starting from the earliest
 //!   input's pin-to-pin delay, each additional δ-simultaneous input
 //!   contributes its pairwise V-shape speed-up multiplicatively, floored by
 //!   the characterized k-way zero-skew delay so the model stays exact at

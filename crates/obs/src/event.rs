@@ -10,7 +10,7 @@
 //! sequence number instead of a timestamp — ordering is what provenance
 //! consumers need, and skipping the clock read keeps emission cheap.
 //!
-//! While events are disabled, [`crate::event`] is a single relaxed atomic
+//! While events are disabled, [`fn@crate::event`] is a single relaxed atomic
 //! load and the event-building closure is never invoked.
 
 use std::collections::VecDeque;

@@ -7,7 +7,7 @@
 //! with *stable dotted names* through this crate. Instrumentation is
 //! **disabled by default** and the disabled path is designed to vanish:
 //!
-//! * [`span`] checks one relaxed atomic load and returns an inert guard —
+//! * [`fn@span`] checks one relaxed atomic load and returns an inert guard —
 //!   no clock read, no allocation, no lock;
 //! * [`Histogram::record`] checks the same flag and returns;
 //! * [`Counter`]s are private atomic cells owned by whoever created them
@@ -20,7 +20,7 @@
 //!
 //! # Spans
 //!
-//! [`span`] opens a RAII timing span on the current thread; dropping the
+//! [`fn@span`] opens a RAII timing span on the current thread; dropping the
 //! guard records `(name, start, duration, depth)` into a per-thread log.
 //! Nesting is tracked per thread, so worker-pool activity (each ATPG
 //! worker owning its own engine) lands in its own timeline lane. Label
@@ -37,10 +37,10 @@
 //!
 //! # Provenance events
 //!
-//! [`event`] records a typed [`Event`] into the current thread's bounded
+//! [`fn@event`] records a typed [`Event`] into the current thread's bounded
 //! ring — which corner won a gate's worst-case search, why an ITR window
 //! shrank, where PODEM backtracked. Events have their **own** enable
-//! flag ([`set_events_enabled`]): while off, [`event`] is a single
+//! flag ([`set_events_enabled`]): while off, [`fn@event`] is a single
 //! relaxed atomic load and the event-building closure is never invoked,
 //! so metrics-only runs pay nothing for the tracing layer.
 //!

@@ -38,7 +38,7 @@ impl CounterSlot {
 }
 
 /// The process-wide instrumentation state. Obtain it through
-/// [`crate::registry`]; all members of the workspace share one instance.
+/// [`fn@crate::registry`]; all members of the workspace share one instance.
 pub struct Registry {
     enabled: AtomicBool,
     events_enabled: AtomicBool,

@@ -1,7 +1,7 @@
 //! Transistor-level circuit description.
 
 use crate::error::SpiceError;
-use crate::mosfet::{MosType, Mosfet};
+use crate::mosfet::{DeviceMemo, MosType, Mosfet};
 use crate::process::Process;
 
 /// A circuit node.
@@ -182,16 +182,20 @@ impl Circuit {
 
     /// Accumulates channel currents into `into` (µA flowing **into** each
     /// solved node) for node voltages `state` and input voltages `vins`.
+    /// `memo` holds one entry per transistor, in [`Circuit::transistors`]
+    /// order (see [`Mosfet::current_memo`]).
     pub fn channel_currents(
         &self,
         process: &Process,
         state: &[f64],
         vins: &[f64],
         into: &mut [f64],
+        memo: &mut [DeviceMemo],
     ) {
         debug_assert_eq!(state.len(), self.n_state());
         debug_assert_eq!(vins.len(), self.n_inputs);
         debug_assert_eq!(into.len(), self.n_state());
+        assert_eq!(memo.len(), self.transistors.len(), "one memo per device");
         let vdd = process.vdd.as_volts();
         let volt = |node: Node| -> f64 {
             match node {
@@ -201,14 +205,18 @@ impl Circuit {
                 Node::Internal(i) => state[i + 1],
             }
         };
-        for t in &self.transistors {
+        for (t, memo) in self.transistors.iter().zip(memo) {
             let params = match t.mos.mtype {
                 MosType::N => &process.nmos,
                 MosType::P => &process.pmos,
             };
-            let i_ds = t
-                .mos
-                .current(params, vins[t.gate_pin], volt(t.drain), volt(t.source));
+            let i_ds = t.mos.current_memo(
+                params,
+                vins[t.gate_pin],
+                volt(t.drain),
+                volt(t.source),
+                memo,
+            );
             // i_ds flows out of the drain node and into the source node.
             if let Some(i) = t.drain.state_index() {
                 into[i] -= i_ds;
@@ -332,12 +340,42 @@ mod tests {
         let p = Process::p05um();
         let mut into = vec![0.0];
         // Output at vdd, input high: NMOS discharges the node (negative).
-        c.channel_currents(&p, &[3.3], &[3.3], &mut into);
+        let mut memo = [DeviceMemo::EMPTY; 2];
+        c.channel_currents(&p, &[3.3], &[3.3], &mut into, &mut memo);
         assert!(into[0] < 0.0, "into = {into:?}");
         // Output at 0, input low: PMOS charges the node (positive).
         let mut into2 = vec![0.0];
-        c.channel_currents(&p, &[0.0], &[0.0], &mut into2);
+        c.channel_currents(&p, &[0.0], &[0.0], &mut into2, &mut memo);
         assert!(into2[0] > 0.0, "into = {into2:?}");
+    }
+
+    #[test]
+    fn channel_currents_keep_one_memo_per_device() {
+        // Two parallel pull-downs of different width on one input: they
+        // see the same overdrive at every call, so a memo shared between
+        // them would hand the second one the first one's current.
+        let narrow = Mosfet::new(MosType::N, 1.0);
+        let wide = Mosfet::new(MosType::N, 2.5);
+        let pull_down = |mos| Transistor {
+            mos,
+            gate_pin: 0,
+            drain: Node::Out,
+            source: Node::Gnd,
+        };
+        let c = Circuit::new(vec![pull_down(narrow), pull_down(wide)], 1, 0).unwrap();
+        let p = Process::p05um();
+        let mut memo = [DeviceMemo::EMPTY; 2];
+        for (vin, vout) in [(3.3, 2.0), (3.3, 1.0), (2.5, 1.0)] {
+            let mut into = [0.0];
+            c.channel_currents(&p, &[vout], &[vin], &mut into, &mut memo);
+            let fresh = 0.0
+                - narrow.current(&p.nmos, vin, vout, 0.0)
+                - wide.current(&p.nmos, vin, vout, 0.0);
+            assert_eq!(into[0].to_bits(), fresh.to_bits(), "vin {vin}, vout {vout}");
+        }
+        for m in memo {
+            assert_eq!((m.computed, m.reused), (2, 1));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::circuit::Circuit;
 use crate::error::SpiceError;
 use crate::gates::{build, GateKind};
 use crate::process::Process;
-use crate::transient::{Run, SettleStop, Trajectory, Transient, TransientConfig};
+use crate::transient::{Channels, Run, SettleStop, Trajectory, Transient, TransientConfig};
 use crate::waveform::{InputWave, Trace};
 
 /// State of one gate input during a measurement.
@@ -177,6 +177,8 @@ struct SimCache {
     rk4_shared: Counter,
     settle_hits: Counter,
     settle_misses: Counter,
+    channel_computed: Counter,
+    channel_reused: Counter,
 }
 
 impl SimCache {
@@ -189,6 +191,8 @@ impl SimCache {
             rk4_shared: ssdm_obs::counter("spice.rk4_steps.shared"),
             settle_hits: ssdm_obs::counter("spice.settle.hit"),
             settle_misses: ssdm_obs::counter("spice.settle.miss"),
+            channel_computed: ssdm_obs::counter("spice.channel.computed"),
+            channel_reused: ssdm_obs::counter("spice.channel.reused"),
         }
     }
 
@@ -441,7 +445,8 @@ impl GateSim {
             self.config,
         )?;
         let settle_key = (initial, load.as_ff().to_bits());
-        let (state, settle_steps) = self.settled_state(&transient, settle_key.clone(), t0)?;
+        let (state, settle_steps, settle_channels) =
+            self.settled_state(&transient, settle_key.clone(), t0)?;
         let vdd = self.process.vdd.as_volts();
         let stop = SettleStop {
             after: latest_end,
@@ -462,6 +467,7 @@ impl GateSim {
             steps,
             replayed,
             kept,
+            channels,
         } = transient.integrate(state, t0, t1, Some(stop), replay, keep)?;
         if !plan.store.is_empty() {
             let mut memo = self.cache.prefixes();
@@ -474,6 +480,12 @@ impl GateSim {
             .rk4_steps
             .add((settle_steps + steps - replayed) as u64);
         self.cache.rk4_shared.add(replayed as u64);
+        self.cache
+            .channel_computed
+            .add(settle_channels.computed + channels.computed);
+        self.cache
+            .channel_reused
+            .add(settle_channels.reused + channels.reused);
 
         let arrival = trace.last_crossing(0.5 * vdd, out_edge)?;
         let ttime = trace.transition_time(0.1 * vdd, 0.9 * vdd, out_edge)?;
@@ -488,7 +500,8 @@ impl GateSim {
 
     /// The DC operating point `transient` starts from at `t0`, from the
     /// memo when this harness has settled the same input levels and load
-    /// before, and the number of RK4 steps it took to find (0 on a hit).
+    /// before, and the number of RK4 steps and channel evaluations it took
+    /// to find (none on a hit).
     ///
     /// The key is exact: `t0` precedes every input ramp, so each input
     /// sits exactly on the rail of its initial level there, and the
@@ -498,15 +511,15 @@ impl GateSim {
         transient: &Transient<'_>,
         key: SettleKey,
         t0: Time,
-    ) -> Result<(Vec<f64>, usize), SpiceError> {
+    ) -> Result<(Vec<f64>, usize, Channels), SpiceError> {
         if let Some(state) = self.cache.memo().get(&key) {
             self.cache.settle_hits.incr();
-            return Ok((state.clone(), 0));
+            return Ok((state.clone(), 0, Channels::default()));
         }
-        let state = transient.dc_settle(t0)?;
+        let (state, channels) = transient.dc_settle(t0)?;
         self.cache.settle_misses.incr();
         self.cache.memo().insert(key, state.clone());
-        Ok((state, transient.settle_steps()))
+        Ok((state, transient.settle_steps(), channels))
     }
 
     /// Which memoized prefix the run of `transient` under `pins` from the
@@ -878,8 +891,8 @@ mod tests {
         let waves = pins.iter().map(|p| p.wave()).collect();
         let transient =
             Transient::new(&sim.circuit, &sim.process, waves, load.as_ff(), sim.config).unwrap();
-        let fresh = transient.dc_settle(t0).unwrap();
-        let (cached, steps) = sim
+        let (fresh, _) = transient.dc_settle(t0).unwrap();
+        let (cached, steps, _) = sim
             .settled_state(&transient, (vec![true, true], load.as_ff().to_bits()), t0)
             .unwrap();
         assert_eq!(steps, 0, "expected a cache hit");

@@ -78,6 +78,37 @@ impl MosParams {
     }
 }
 
+/// One transistor's memo of its last saturation point: the `v_gt` bits it
+/// was computed at and `(idsat, vdsat)` there, plus how often it was
+/// computed and reused.
+///
+/// Reuse is exact: `idsat` and `vdsat` are deterministic functions of the
+/// `v_gt` bits (`powf` included), so a key match returns the very bits a
+/// fresh computation would. An empty entry holds the bits of `+0.0`, which
+/// never reaches the lookup (the cutoff test `v_gt <= 0` returns first),
+/// so it matches no overdrive that is looked up, NaN payloads included.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceMemo {
+    v_gt: u64,
+    idsat: f64,
+    vdsat: f64,
+    /// Saturation points computed into this entry.
+    pub computed: u64,
+    /// Conducting evaluations answered from this entry.
+    pub reused: u64,
+}
+
+impl DeviceMemo {
+    /// An entry that holds nothing yet.
+    pub const EMPTY: DeviceMemo = DeviceMemo {
+        v_gt: 0,
+        idsat: 0.0,
+        vdsat: 0.0,
+        computed: 0,
+        reused: 0,
+    };
+}
+
 /// A sized transistor instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mosfet {
@@ -109,20 +140,34 @@ impl Mosfet {
     /// so the same function serves every transistor in a series stack
     /// regardless of orientation.
     pub fn current(&self, params: &MosParams, vg: f64, vd: f64, vs: f64) -> f64 {
+        let mut fresh = DeviceMemo::EMPTY;
+        self.current_memo(params, vg, vd, vs, &mut fresh)
+    }
+
+    /// [`Mosfet::current`] through this device's `memo`, which it reads
+    /// and refreshes. The result is bit-identical to [`Mosfet::current`].
+    pub fn current_memo(
+        &self,
+        params: &MosParams,
+        vg: f64,
+        vd: f64,
+        vs: f64,
+        memo: &mut DeviceMemo,
+    ) -> f64 {
         match self.mtype {
             MosType::N => {
                 if vd >= vs {
-                    self.channel(params, vg - vs, vd - vs)
+                    self.channel(params, vg - vs, vd - vs, memo)
                 } else {
-                    -self.channel(params, vg - vd, vs - vd)
+                    -self.channel(params, vg - vd, vs - vd, memo)
                 }
             }
             MosType::P => {
                 // Mirror: a PMOS with source at the higher potential.
                 if vd <= vs {
-                    -self.channel(params, vs - vg, vs - vd)
+                    -self.channel(params, vs - vg, vs - vd, memo)
                 } else {
-                    self.channel(params, vd - vg, vd - vs)
+                    self.channel(params, vd - vg, vd - vs, memo)
                 }
             }
         }
@@ -130,14 +175,21 @@ impl Mosfet {
 
     /// Magnitude of channel current for effective overdrive geometry:
     /// `v_gs` is gate-to-source, `v_ds ≥ 0` drain-to-source.
-    fn channel(&self, params: &MosParams, v_gs: f64, v_ds: f64) -> f64 {
+    fn channel(&self, params: &MosParams, v_gs: f64, v_ds: f64, memo: &mut DeviceMemo) -> f64 {
         debug_assert!(v_ds >= 0.0);
         let v_gt = v_gs - params.vth;
         if v_gt <= 0.0 {
             return 0.0;
         }
-        let idsat = self.width_um * params.idsat_per_um(v_gt);
-        let vdsat = params.vdsat(v_gt);
+        if memo.v_gt == v_gt.to_bits() {
+            memo.reused += 1;
+        } else {
+            memo.v_gt = v_gt.to_bits();
+            memo.idsat = self.width_um * params.idsat_per_um(v_gt);
+            memo.vdsat = params.vdsat(v_gt);
+            memo.computed += 1;
+        }
+        let (idsat, vdsat) = (memo.idsat, memo.vdsat);
         if v_ds >= vdsat {
             idsat * (1.0 + params.lambda * v_ds)
         } else {
@@ -150,6 +202,7 @@ impl Mosfet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn nparams() -> MosParams {
         MosParams {
@@ -248,6 +301,103 @@ mod tests {
         assert!(p.vdsat(1.0) < p.vdsat(2.0));
         assert_eq!(p.vdsat(-1.0), 0.0);
         assert_eq!(p.idsat_per_um(-0.5), 0.0);
+    }
+
+    /// Gate voltages that, with a zero threshold and a terminal at 0 V,
+    /// put the overdrive exactly on ±0, subnormals, NaN and ±inf, plus
+    /// ordinary values.
+    const GATE: [f64; 14] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        1e-310,
+        -1e-310,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.75,
+        1.2,
+        -1.2,
+        3.3,
+        -3.3,
+    ];
+
+    /// Terminal voltages: finite (the channel needs `v_ds ≥ 0`), with
+    /// signed zeros and subnormals.
+    const TERMINAL: [f64; 8] = [0.0, -0.0, 5e-324, 1e-310, 0.3, 1.2, 3.0, 3.3];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Per-device memos answer every call of a random sequence with
+        /// the bits `Mosfet::current` computes afresh: two devices of
+        /// different width and polarity, both orientations, repeated
+        /// overdrives, and overdrives of exactly ±0, subnormal, NaN and
+        /// ±inf (a zero threshold passes the gate voltage through).
+        #[test]
+        fn memoized_channel_matches_fresh_current(
+            polarity in 0u8..4,
+            zero_vth in 0u8..2,
+            calls in prop::collection::vec(0u64..u64::MAX, 1..64),
+            fresh_vg in prop::collection::vec(0.0..3.3f64, 64..65),
+        ) {
+            let params = MosParams {
+                vth: if zero_vth == 1 { 0.0 } else { 0.75 },
+                ..nparams()
+            };
+            let mtype = |bit: u8| if polarity & bit == 0 { MosType::N } else { MosType::P };
+            let devices = [Mosfet::new(mtype(1), 1.0), Mosfet::new(mtype(2), 2.5)];
+            let mut memos = [DeviceMemo::EMPTY; 2];
+            for (call, v) in calls.into_iter().zip(fresh_vg) {
+                // Each call draws a device, pooled voltages (which
+                // repeat) and sometimes a fresh gate voltage; terminals
+                // in either order give both orientations.
+                let field = |shift: u32, n: usize| (call >> shift) as usize % n;
+                let d = field(0, 2);
+                let vg = if field(1, 4) == 0 { v } else { GATE[field(8, GATE.len())] };
+                let (vd, vs) = (TERMINAL[field(16, TERMINAL.len())], TERMINAL[field(24, TERMINAL.len())]);
+                let memoized = devices[d].current_memo(&params, vg, vd, vs, &mut memos[d]);
+                let fresh = devices[d].current(&params, vg, vd, vs);
+                prop_assert_eq!(
+                    memoized.to_bits(),
+                    fresh.to_bits(),
+                    "device {} vg {:e} vd {:e} vs {:e}: {} vs {}",
+                    d, vg, vd, vs, memoized, fresh
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_memo_matches_no_nan() {
+        let params = MosParams {
+            vth: 0.0,
+            ..nparams()
+        };
+        let m = Mosfet::new(MosType::N, 1.0);
+        for bits in [
+            0x7ff8_0000_0000_0000u64,
+            0x7ff0_0000_0000_0001,
+            0xfff8_0000_0000_0000,
+        ] {
+            let mut memo = DeviceMemo::EMPTY;
+            let i = m.current_memo(&params, f64::from_bits(bits), 1.0, 0.0, &mut memo);
+            assert!(i.is_nan(), "NaN overdrive {bits:#x} gave {i}");
+            assert_eq!((memo.computed, memo.reused), (1, 0));
+        }
+    }
+
+    #[test]
+    fn memo_counts_computed_and_reused_points() {
+        let p = nparams();
+        let m = Mosfet::new(MosType::N, 1.0);
+        let mut memo = DeviceMemo::EMPTY;
+        for (vg, vd) in [(3.3, 3.3), (3.3, 0.2), (2.0, 0.2), (0.0, 1.0), (2.0, 1.0)] {
+            m.current_memo(&p, vg, vd, 0.0, &mut memo);
+        }
+        // Cutoff (vg = 0) neither computes nor reuses.
+        assert_eq!((memo.computed, memo.reused), (2, 2));
     }
 
     #[test]

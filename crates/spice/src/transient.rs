@@ -11,12 +11,14 @@
 //! replays the steps an earlier run of the same harness provably took
 //! already, and ends the run once the output has settled on its final
 //! rail; these shortcuts leave every measured crossing bit-identical
-//! (DESIGN.md §10).
+//! (DESIGN.md §10). Inside a run, every transistor memoizes its last
+//! saturation point and the RK4 stages share input drives, exactly too.
 
 use ssdm_core::Time;
 
 use crate::circuit::Circuit;
 use crate::error::SpiceError;
+use crate::mosfet::DeviceMemo;
 use crate::process::Process;
 use crate::waveform::{InputWave, Trace};
 
@@ -50,6 +52,10 @@ pub struct Transient<'a> {
     inputs: Vec<InputWave>,
     caps: Vec<f64>,
     config: TransientConfig,
+    /// The latest ramp start or end (ns; −∞ without ramps). An RK4 step
+    /// that starts after it sees every input static: on its final rail,
+    /// with slope exactly 0.
+    quiet_after: f64,
 }
 
 /// Where [`Transient::integrate`] may end the run early: at the first
@@ -119,6 +125,16 @@ pub(crate) struct Run {
     pub replayed: usize,
     /// The first `keep` steps (or all of them, if the run ended sooner).
     pub kept: Trajectory,
+    /// Channel evaluations of the integrated steps.
+    pub channels: Channels,
+}
+
+/// Conducting channel evaluations of one run: saturation points computed,
+/// and reused from the device's [`DeviceMemo`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Channels {
+    pub computed: u64,
+    pub reused: u64,
 }
 
 /// Working vectors of one run, allocated once and reused by every RK4
@@ -132,15 +148,27 @@ struct Scratch {
     eval: EvalBuf,
 }
 
-/// Working vectors of one derivative evaluation.
+/// Working state of the derivative evaluations of one run.
 struct EvalBuf {
+    drive: Drive,
+    current: Vec<f64>,
+    /// One entry per transistor, in [`Circuit::transistors`] order.
+    memo: Vec<DeviceMemo>,
+}
+
+/// The input drive last evaluated: voltages and slopes at the time whose
+/// bits are `at`. Once `held`, the inputs were static when it was
+/// evaluated and stay so for the rest of the run, so it holds at every
+/// later stage time.
+struct Drive {
+    at: Option<u64>,
+    held: bool,
     vins: Vec<f64>,
     slopes: Vec<f64>,
-    current: Vec<f64>,
 }
 
 impl Scratch {
-    fn new(n_state: usize, n_inputs: usize) -> Scratch {
+    fn new(n_state: usize, n_inputs: usize, n_devices: usize) -> Scratch {
         Scratch {
             k1: vec![0.0; n_state],
             k2: vec![0.0; n_state],
@@ -148,11 +176,27 @@ impl Scratch {
             k4: vec![0.0; n_state],
             tmp: vec![0.0; n_state],
             eval: EvalBuf {
-                vins: Vec::with_capacity(n_inputs),
-                slopes: Vec::with_capacity(n_inputs),
+                drive: Drive {
+                    at: None,
+                    held: false,
+                    vins: Vec::with_capacity(n_inputs),
+                    slopes: Vec::with_capacity(n_inputs),
+                },
                 current: vec![0.0; n_state],
+                memo: vec![DeviceMemo::EMPTY; n_devices],
             },
         }
+    }
+
+    /// The channel evaluations of the run so far.
+    fn channels(&self) -> Channels {
+        self.eval
+            .memo
+            .iter()
+            .fold(Channels::default(), |c, m| Channels {
+                computed: c.computed + m.computed,
+                reused: c.reused + m.reused,
+            })
     }
 }
 
@@ -180,12 +224,18 @@ impl<'a> Transient<'a> {
             });
         }
         let caps = circuit.node_caps_ff(process, load_ff);
+        let quiet_after = inputs
+            .iter()
+            .filter_map(InputWave::transition)
+            .map(|tr| tr.start().max(tr.end()).as_ns())
+            .fold(f64::NEG_INFINITY, f64::max);
         Ok(Transient {
             circuit,
             process,
             inputs,
             caps,
             config,
+            quiet_after,
         })
     }
 
@@ -200,7 +250,7 @@ impl<'a> Transient<'a> {
     /// Returns [`SpiceError::Diverged`] if any node voltage becomes
     /// non-finite.
     pub fn run(&self, t0: Time, t1: Time) -> Result<Trace, SpiceError> {
-        let state = self.dc_settle(t0)?;
+        let (state, _) = self.dc_settle(t0)?;
         Ok(self.integrate(state, t0, t1, None, None, 0)?.trace)
     }
 
@@ -227,7 +277,7 @@ impl<'a> Transient<'a> {
         keep: usize,
     ) -> Result<Run, SpiceError> {
         let n = state.len();
-        let mut scratch = Scratch::new(n, self.inputs.len());
+        let mut scratch = self.scratch();
         let mut trace = Trace::with_capacity(1024);
         let dt = self.config.dt.as_ns();
         let t0n = t0.as_ns();
@@ -270,6 +320,7 @@ impl<'a> Transient<'a> {
                             steps: step,
                             replayed: reuse.min(step),
                             kept,
+                            channels: scratch.channels(),
                         });
                     }
                 }
@@ -280,6 +331,7 @@ impl<'a> Transient<'a> {
             steps,
             replayed: reuse,
             kept,
+            channels: scratch.channels(),
         })
     }
 
@@ -313,11 +365,11 @@ impl<'a> Transient<'a> {
     }
 
     /// Finds the DC operating point at `t0` by integrating with inputs
-    /// frozen at their `t0` values.
-    pub(crate) fn dc_settle(&self, t0: Time) -> Result<Vec<f64>, SpiceError> {
+    /// frozen at their `t0` values, with the channel evaluations it took.
+    pub(crate) fn dc_settle(&self, t0: Time) -> Result<(Vec<f64>, Channels), SpiceError> {
         let n = self.circuit.n_state();
         let mut state = vec![0.0; n];
-        let mut scratch = Scratch::new(n, self.inputs.len());
+        let mut scratch = self.scratch();
         // Coarse settling steps: the settle run only needs the endpoint.
         let dt = self.config.dt.as_ns() * 4.0;
         let t = t0.as_ns();
@@ -327,54 +379,65 @@ impl<'a> Transient<'a> {
                 return Err(SpiceError::Diverged { at_ns: t });
             }
         }
-        Ok(state)
+        Ok((state, scratch.channels()))
     }
 
-    fn input_voltages(&self, t: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.inputs
-                .iter()
-                .map(|w| w.voltage(Time::from_ns(t), self.process.vdd)),
-        );
+    fn scratch(&self) -> Scratch {
+        Scratch::new(
+            self.circuit.n_state(),
+            self.inputs.len(),
+            self.circuit.transistors().len(),
+        )
     }
 
-    fn input_slopes(&self, t: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.inputs
-                .iter()
-                .map(|w| w.slope(Time::from_ns(t), self.process.vdd)),
-        );
+    /// Brings `d` to the input drive at time `t`. It is evaluated only
+    /// when `d` holds another time's drive and is not `held`; `quiet` says
+    /// the inputs are static from `t` on, and makes the result `held`.
+    fn drive(&self, t: f64, quiet: bool, d: &mut Drive) {
+        if d.held || d.at == Some(t.to_bits()) {
+            return;
+        }
+        let (vdd, at) = (self.process.vdd, Time::from_ns(t));
+        d.vins.clear();
+        d.vins
+            .extend(self.inputs.iter().map(|w| w.voltage(at, vdd)));
+        d.slopes.clear();
+        d.slopes
+            .extend(self.inputs.iter().map(|w| w.slope(at, vdd)));
+        d.at = Some(t.to_bits());
+        d.held = quiet;
     }
 
-    /// Evaluates dV/dt for all solved nodes.
-    fn derivative(
-        &self,
-        state: &[f64],
-        t: f64,
-        frozen_t: Option<f64>,
-        dvdt: &mut [f64],
-        buf: &mut EvalBuf,
-    ) {
-        let teff = frozen_t.unwrap_or(t);
-        self.input_voltages(teff, &mut buf.vins);
+    /// Evaluates dV/dt for all solved nodes, with the inputs driven as at
+    /// time `t`. A `quiet` evaluation has every input static, so it skips
+    /// the Miller injection: with the inputs frozen there is none, and
+    /// after the last ramp every slope is exactly 0, which adds nothing.
+    fn derivative(&self, state: &[f64], t: f64, quiet: bool, dvdt: &mut [f64], buf: &mut EvalBuf) {
+        self.drive(t, quiet, &mut buf.drive);
         buf.current.fill(0.0);
-        self.circuit
-            .channel_currents(self.process, state, &buf.vins, &mut buf.current);
-        if frozen_t.is_none() {
-            self.input_slopes(t, &mut buf.slopes);
+        self.circuit.channel_currents(
+            self.process,
+            state,
+            &buf.drive.vins,
+            &mut buf.current,
+            &mut buf.memo,
+        );
+        if !quiet {
             self.circuit
-                .miller_injection(self.process, &buf.slopes, &mut buf.current);
+                .miller_injection(self.process, &buf.drive.slopes, &mut buf.current);
         }
         for (d, (c, cap)) in dvdt.iter_mut().zip(buf.current.iter().zip(&self.caps)) {
             *d = c / cap;
         }
     }
 
+    /// One RK4 step from `t`. A `frozen` step drives every stage with the
+    /// inputs at `t`. A step that starts after every ramp is quiet: all of
+    /// its stage times, and every later one, see the inputs static.
     fn rk4_step(&self, state: &mut [f64], t: f64, dt: f64, frozen: bool, s: &mut Scratch) {
         let n = state.len();
-        let frozen_t = if frozen { Some(t) } else { None };
+        let quiet = frozen || t > self.quiet_after;
+        let stage = |offset: f64| if frozen { t } else { t + offset };
         let Scratch {
             k1,
             k2,
@@ -383,19 +446,20 @@ impl<'a> Transient<'a> {
             tmp,
             eval,
         } = s;
-        self.derivative(state, t, frozen_t, k1, eval);
+        self.derivative(state, t, quiet, k1, eval);
         for i in 0..n {
             tmp[i] = state[i] + 0.5 * dt * k1[i];
         }
-        self.derivative(tmp, t + 0.5 * dt, frozen_t, k2, eval);
+        // k2 and k3 share their stage time, so they share one drive.
+        self.derivative(tmp, stage(0.5 * dt), quiet, k2, eval);
         for i in 0..n {
             tmp[i] = state[i] + 0.5 * dt * k2[i];
         }
-        self.derivative(tmp, t + 0.5 * dt, frozen_t, k3, eval);
+        self.derivative(tmp, stage(0.5 * dt), quiet, k3, eval);
         for i in 0..n {
             tmp[i] = state[i] + dt * k3[i];
         }
-        self.derivative(tmp, t + dt, frozen_t, k4, eval);
+        self.derivative(tmp, stage(dt), quiet, k4, eval);
         let vdd = self.process.vdd.as_volts();
         for i in 0..n {
             state[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
@@ -409,8 +473,177 @@ impl<'a> Transient<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Node;
     use crate::gates::{build, GateKind};
+    use crate::mosfet::MosType;
+    use proptest::prelude::*;
     use ssdm_core::{Edge, Transition};
+
+    /// The derivative without reuse: every device through
+    /// [`crate::mosfet::Mosfet::current`], the input drive evaluated anew
+    /// at every stage, and the Miller injection on every unfrozen stage.
+    fn reference_derivative(
+        tr: &Transient<'_>,
+        waves: &[InputWave],
+        state: &[f64],
+        t: f64,
+        frozen_t: Option<f64>,
+        dvdt: &mut [f64],
+    ) {
+        let vdd = tr.process.vdd;
+        let at = Time::from_ns(frozen_t.unwrap_or(t));
+        let vins: Vec<f64> = waves.iter().map(|w| w.voltage(at, vdd)).collect();
+        let volt = |node: Node| match node {
+            Node::Gnd => 0.0,
+            Node::Vdd => vdd.as_volts(),
+            Node::Out => state[0],
+            Node::Internal(i) => state[i + 1],
+        };
+        let mut current = vec![0.0; state.len()];
+        for t in tr.circuit.transistors() {
+            let params = match t.mos.mtype {
+                MosType::N => &tr.process.nmos,
+                MosType::P => &tr.process.pmos,
+            };
+            let i_ds = t
+                .mos
+                .current(params, vins[t.gate_pin], volt(t.drain), volt(t.source));
+            for (node, sign) in [(t.drain, -1.0), (t.source, 1.0)] {
+                match node {
+                    Node::Out => current[0] += sign * i_ds,
+                    Node::Internal(i) => current[i + 1] += sign * i_ds,
+                    Node::Gnd | Node::Vdd => {}
+                }
+            }
+        }
+        if frozen_t.is_none() {
+            let at = Time::from_ns(t);
+            let slopes: Vec<f64> = waves.iter().map(|w| w.slope(at, vdd)).collect();
+            tr.circuit
+                .miller_injection(tr.process, &slopes, &mut current);
+        }
+        for (d, (c, cap)) in dvdt.iter_mut().zip(current.iter().zip(&tr.caps)) {
+            *d = c / cap;
+        }
+    }
+
+    fn reference_step(
+        tr: &Transient<'_>,
+        waves: &[InputWave],
+        state: &mut [f64],
+        t: f64,
+        dt: f64,
+        frozen: bool,
+    ) {
+        let n = state.len();
+        let frozen_t = frozen.then_some(t);
+        let (mut k1, mut k2, mut k3, mut k4) =
+            (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let mut tmp = vec![0.0; n];
+        reference_derivative(tr, waves, state, t, frozen_t, &mut k1);
+        for i in 0..n {
+            tmp[i] = state[i] + 0.5 * dt * k1[i];
+        }
+        reference_derivative(tr, waves, &tmp, t + 0.5 * dt, frozen_t, &mut k2);
+        for i in 0..n {
+            tmp[i] = state[i] + 0.5 * dt * k2[i];
+        }
+        reference_derivative(tr, waves, &tmp, t + 0.5 * dt, frozen_t, &mut k3);
+        for i in 0..n {
+            tmp[i] = state[i] + dt * k3[i];
+        }
+        reference_derivative(tr, waves, &tmp, t + dt, frozen_t, &mut k4);
+        let vdd = tr.process.vdd.as_volts();
+        for i in 0..n {
+            state[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+            state[i] = state[i].clamp(-0.5, vdd + 0.5);
+        }
+    }
+
+    /// [`Transient::run`] through [`reference_step`]: the DC settle, then
+    /// the whole window, recorded the same way.
+    fn reference_run(tr: &Transient<'_>, waves: &[InputWave], t0: Time, t1: Time) -> Trace {
+        let mut state = vec![0.0; tr.circuit.n_state()];
+        for _ in 0..tr.settle_steps() {
+            reference_step(
+                tr,
+                waves,
+                &mut state,
+                t0.as_ns(),
+                tr.config.dt.as_ns() * 4.0,
+                true,
+            );
+        }
+        let dt = tr.config.dt.as_ns();
+        let (t0n, t1n) = (t0.as_ns(), t1.as_ns());
+        let steps = ((t1n - t0n) / dt).ceil() as usize;
+        let mut trace = Trace::with_capacity(steps + 1);
+        trace.push(t0, state[0]);
+        let mut t = t0n;
+        for step in 1..=steps {
+            reference_step(tr, waves, &mut state, t, dt, false);
+            t = t0n + step as f64 * dt;
+            if step % tr.config.record_stride == 0 || step == steps {
+                trace.push(Time::from_ns(t), state[0]);
+            }
+        }
+        trace
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The memoized devices and the shared input drive leave every
+        /// recorded sample of a run bit-identical to the reference
+        /// derivative's: INV, NAND2 and NOR3 under random ramps, held
+        /// inputs and ramps that outlast the window, with windows that
+        /// start before, inside and after the ramps.
+        #[test]
+        fn run_matches_the_reference_derivative(
+            gate in 0usize..3,
+            codes in prop::collection::vec(0u8..6, 3..4),
+            arrivals in prop::collection::vec(0.2..2.5f64, 3..4),
+            ttimes in prop::collection::vec(0.02..1.2f64, 3..4),
+            t0 in -0.5..1.5f64,
+            span in 0.5..3.0f64,
+        ) {
+            let (kind, n) = [(GateKind::Inv, 1), (GateKind::Nand, 2), (GateKind::Nor, 3)][gate];
+            let c = build(kind, n, 1.5, 3.0).unwrap();
+            let p = Process::p05um();
+            let waves: Vec<InputWave> = (0..n)
+                .map(|i| match codes[i] {
+                    0 => InputWave::Steady(false),
+                    1 => InputWave::Steady(true),
+                    // A ramp far shorter than an ulp of its arrival time:
+                    // it starts and ends at the same instant.
+                    2 => InputWave::Ramp(Transition::new(
+                        Edge::Rise,
+                        Time::from_ns(arrivals[i]),
+                        Time::from_ns(1e-17),
+                    )),
+                    code => InputWave::Ramp(Transition::new(
+                        if code == 3 { Edge::Rise } else { Edge::Fall },
+                        Time::from_ns(arrivals[i]),
+                        Time::from_ns(ttimes[i]),
+                    )),
+                })
+                .collect();
+            let config = TransientConfig {
+                settle: Time::from_ns(1.0),
+                ..TransientConfig::default()
+            };
+            let tr = Transient::new(&c, &p, waves.clone(), 12.0, config).unwrap();
+            let (t0, t1) = (Time::from_ns(t0), Time::from_ns(t0 + span));
+            let fast = tr.run(t0, t1).unwrap();
+            let reference = reference_run(&tr, &waves, t0, t1);
+            prop_assert_eq!(bits(fast.times_ns()), bits(reference.times_ns()));
+            prop_assert_eq!(bits(fast.volts()), bits(reference.volts()));
+        }
+    }
 
     fn inv_circuit() -> Circuit {
         build(GateKind::Inv, 1, 1.5, 3.0).unwrap()

@@ -172,7 +172,7 @@ impl StageProvenance {
 /// Emits one `sta.corner` provenance event per surviving output-edge
 /// bound of a freshly evaluated gate. Vetoed edges (no window in `lt`)
 /// are skipped. Call sites should guard on [`ssdm_obs::events_enabled`];
-/// the per-event closure guard inside [`ssdm_obs::event`] still makes
+/// the per-event closure guard inside [`fn@ssdm_obs::event`] still makes
 /// this free when tracing is off.
 pub fn emit_corner_events(net: u32, lt: &LineTiming, prov: &StageProvenance) {
     for e in Edge::BOTH {

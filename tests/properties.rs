@@ -282,3 +282,99 @@ proptest! {
         }
     }
 }
+
+/// Applies one corruption, chosen by `code`, to `text`: truncation, a
+/// byte replaced by a random character, a line spliced in from elsewhere,
+/// a line dropped, or a token replaced by a hostile number or word.
+fn corrupt(text: &str, code: u64) -> String {
+    const TOKENS: [&str; 12] = [
+        "NaN",
+        "inf",
+        "-inf",
+        "1e400",
+        "-0",
+        "0",
+        "-1",
+        "100000000000",
+        "18446744073709551615",
+        "99999999999999999999999",
+        "é",
+        "",
+    ];
+    let lines: Vec<&str> = text.lines().collect();
+    if lines.is_empty() {
+        return text.to_owned();
+    }
+    let pick = |shift: u32, n: usize| (code >> shift) as usize % n.max(1);
+    match code % 5 {
+        0 => {
+            let mut at = pick(8, text.len());
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            text[..at].to_owned()
+        }
+        1 => {
+            let at = pick(8, text.len());
+            let ch = char::from_u32(pick(40, 0x250) as u32).unwrap_or('?');
+            text.char_indices()
+                .map(|(i, c)| if i == at { ch } else { c })
+                .collect()
+        }
+        2 => {
+            let mut out = lines.clone();
+            out.insert(pick(8, lines.len() + 1), lines[pick(32, lines.len())]);
+            out.join("\n")
+        }
+        3 => {
+            let mut out = lines.clone();
+            out.remove(pick(8, lines.len()));
+            out.join("\n")
+        }
+        _ => {
+            let victim = pick(8, lines.len());
+            let mut out: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+            let mut toks: Vec<&str> = lines[victim].split_whitespace().collect();
+            if !toks.is_empty() {
+                let t = pick(24, toks.len());
+                toks[t] = TOKENS[pick(40, TOKENS.len())];
+            }
+            out[victim] = toks.join(" ");
+            out.join("\n")
+        }
+    }
+}
+
+/// A suite netlist in `.bench` form, written once per test binary.
+fn c880s_bench() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| ssdm::netlist::write_bench(&suite::synthetic("c880s").unwrap()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Corrupted library text is parsed or rejected, never a panic or an
+    /// abort; whatever parses writes back to text that parses to the same
+    /// library.
+    #[test]
+    fn corrupt_library_text_never_panics(codes in prop::collection::vec(0u64..u64::MAX, 1..4)) {
+        let mut text = include_str!("../perfbench/data/library-fast.txt").to_owned();
+        for code in codes {
+            text = corrupt(&text, code);
+        }
+        if let Ok(lib) = CellLibrary::from_text(&text) {
+            prop_assert_eq!(CellLibrary::from_text(&lib.to_text()).unwrap(), lib);
+        }
+    }
+
+    /// Corrupted `.bench` text is parsed or rejected, never a panic.
+    #[test]
+    fn corrupt_bench_text_never_panics(codes in prop::collection::vec(0u64..u64::MAX, 1..4)) {
+        let mut text = c880s_bench().to_owned();
+        for code in codes {
+            text = corrupt(&text, code);
+        }
+        let _ = ssdm::netlist::parse_bench("fuzz", &text);
+    }
+}
