@@ -1,6 +1,7 @@
 //! The combinational circuit DAG.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateType, NetId};
@@ -16,7 +17,10 @@ pub struct Circuit {
     gates: Vec<Gate>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
-    fanouts: Vec<Vec<NetId>>,
+    /// Every net's fan-outs, concatenated in net order: net `i`'s are
+    /// `fanouts[fanout_start[i]..fanout_start[i + 1]]`.
+    fanouts: Vec<NetId>,
+    fanout_start: Vec<usize>,
     levels: Vec<usize>,
 }
 
@@ -49,7 +53,7 @@ impl Circuit {
 
     /// Nets that consume `net` as a fan-in.
     pub fn fanouts(&self, net: NetId) -> &[NetId] {
-        &self.fanouts[net.index()]
+        &self.fanouts[self.fanout_start[net.index()]..self.fanout_start[net.index() + 1]]
     }
 
     /// Topological level of `net` (inputs are level 0).
@@ -133,6 +137,66 @@ impl Circuit {
         }
         h
     }
+
+    /// Completes a circuit from gates already in topological order: the
+    /// primary inputs, the fan-out lists (each in ascending consumer
+    /// order, a repeated fan-in listed once per pin) and the levels.
+    fn from_topo_gates(name: String, gates: Vec<Gate>, outputs: Vec<NetId>) -> Circuit {
+        let n = gates.len();
+        let inputs: Vec<NetId> = gates
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.gtype == GateType::Input)
+            .map(|(i, _)| NetId(i))
+            .collect();
+        let (fanout_start, fanouts) = group_by_source(
+            n,
+            gates
+                .iter()
+                .enumerate()
+                .flat_map(|(i, g)| g.fanin.iter().map(move |f| (f.index(), i))),
+        );
+        let mut levels = vec![0usize; n];
+        for (i, g) in gates.iter().enumerate() {
+            levels[i] = g
+                .fanin
+                .iter()
+                .map(|f| levels[f.index()] + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        Circuit {
+            name,
+            gates,
+            inputs,
+            outputs,
+            fanouts: fanouts.into_iter().map(NetId).collect(),
+            fanout_start,
+            levels,
+        }
+    }
+}
+
+/// Groups `(source, target)` edges by source, keeping their order: the
+/// targets of source `i` are `targets[start[i]..start[i + 1]]`.
+fn group_by_source(
+    n: usize,
+    edges: impl Iterator<Item = (usize, usize)> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0usize; n + 1];
+    for (from, _) in edges.clone() {
+        start[from + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start[..n].to_vec();
+    let mut targets = vec![0; start[n]];
+    for (from, to) in edges {
+        targets[fill[from]] = to;
+        fill[from] += 1;
+    }
+    (start, targets)
 }
 
 /// Builds a [`Circuit`] from named gates, resolving references and
@@ -157,8 +221,22 @@ impl Circuit {
 #[derive(Debug, Clone, Default)]
 pub struct CircuitBuilder {
     name: String,
-    defs: Vec<(String, GateType, Vec<String>)>,
+    defs: Vec<Def>,
+    /// Every definition's fan-in names, concatenated.
+    fanin_text: String,
+    /// Each fan-in reference's span in `fanin_text`, in definition and
+    /// pin order.
+    fanin_spans: Vec<Range<usize>>,
     outputs: Vec<String>,
+}
+
+/// One net definition.
+#[derive(Debug, Clone)]
+struct Def {
+    name: String,
+    gtype: GateType,
+    /// The definition's fan-ins, as a range of `fanin_spans`.
+    fanin: Range<usize>,
 }
 
 impl CircuitBuilder {
@@ -166,14 +244,18 @@ impl CircuitBuilder {
     pub fn new(name: impl Into<String>) -> CircuitBuilder {
         CircuitBuilder {
             name: name.into(),
-            defs: Vec::new(),
-            outputs: Vec::new(),
+            ..CircuitBuilder::default()
         }
     }
 
     /// Declares a primary input net.
     pub fn input(&mut self, name: impl Into<String>) -> &mut Self {
-        self.defs.push((name.into(), GateType::Input, Vec::new()));
+        let at = self.fanin_spans.len();
+        self.defs.push(Def {
+            name: name.into(),
+            gtype: GateType::Input,
+            fanin: at..at,
+        });
         self
     }
 
@@ -197,8 +279,17 @@ impl CircuitBuilder {
                 got: fanin.len(),
             });
         }
-        self.defs
-            .push((name, gtype, fanin.iter().map(|s| s.to_string()).collect()));
+        let first = self.fanin_spans.len();
+        for f in fanin {
+            let start = self.fanin_text.len();
+            self.fanin_text.push_str(f);
+            self.fanin_spans.push(start..self.fanin_text.len());
+        }
+        self.defs.push(Def {
+            name,
+            gtype,
+            fanin: first..self.fanin_spans.len(),
+        });
         Ok(self)
     }
 
@@ -206,6 +297,21 @@ impl CircuitBuilder {
     pub fn output(&mut self, name: impl Into<String>) -> &mut Self {
         self.outputs.push(name.into());
         self
+    }
+
+    /// The definitions in the nested layout the reference build reads.
+    #[cfg(test)]
+    fn definitions(&self) -> Vec<(String, GateType, Vec<String>)> {
+        self.defs
+            .iter()
+            .map(|d| {
+                let fanin = self.fanin_spans[d.fanin.clone()]
+                    .iter()
+                    .map(|span| self.fanin_text[span.clone()].to_string())
+                    .collect();
+                (d.name.clone(), d.gtype, fanin)
+            })
+            .collect()
     }
 
     /// Resolves names, topologically sorts and validates.
@@ -221,15 +327,117 @@ impl CircuitBuilder {
         if self.defs.is_empty() || self.outputs.is_empty() {
             return Err(NetlistError::Empty);
         }
-        let mut index: HashMap<&str, usize> = HashMap::with_capacity(self.defs.len());
-        for (i, (name, _, _)) in self.defs.iter().enumerate() {
+        let n = self.defs.len();
+        let mut index: HashMap<&str, usize> = HashMap::with_capacity(n);
+        for (i, def) in self.defs.iter().enumerate() {
+            if index.insert(def.name.as_str(), i).is_some() {
+                return Err(NetlistError::DuplicateNet {
+                    name: def.name.clone(),
+                });
+            }
+        }
+        // Resolve fan-ins to definition indices: definition `d` reads
+        // `fanin[d.fanin]`.
+        let mut fanin = Vec::with_capacity(self.fanin_spans.len());
+        for span in &self.fanin_spans {
+            let f = &self.fanin_text[span.clone()];
+            match index.get(f) {
+                Some(&i) => fanin.push(i),
+                None => {
+                    return Err(NetlistError::UnknownNet {
+                        name: f.to_string(),
+                    })
+                }
+            }
+        }
+        // Kahn topological sort over flat consumer lists, each in
+        // ascending definition order.
+        let (consumer_start, consumers) = group_by_source(
+            n,
+            self.defs
+                .iter()
+                .enumerate()
+                .flat_map(|(i, def)| fanin[def.fanin.clone()].iter().map(move |&f| (f, i))),
+        );
+        let mut indegree: Vec<usize> = self.defs.iter().map(|d| d.fanin.len()).collect();
+        // `order` is also the FIFO queue: entries before `head` are placed.
+        let mut order: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut head = 0;
+        while head < order.len() {
+            let i = order[head];
+            head += 1;
+            for &c in &consumers[consumer_start[i]..consumer_start[i + 1]] {
+                indegree[c] -= 1;
+                if indegree[c] == 0 {
+                    order.push(c);
+                }
+            }
+        }
+        if order.len() != n {
+            let stuck = (0..n)
+                .find(|&i| indegree[i] > 0)
+                .expect("cycle implies a stuck node");
+            return Err(NetlistError::Cyclic {
+                name: self.defs[stuck].name.clone(),
+            });
+        }
+        // Remap definition index → topological position.
+        let mut position = vec![0usize; n];
+        for (pos, &i) in order.iter().enumerate() {
+            position[i] = pos;
+        }
+        // Resolve outputs while `index` still borrows the definitions.
+        let mut outputs = Vec::with_capacity(self.outputs.len());
+        for o in &self.outputs {
+            match index.get(o.as_str()) {
+                Some(&i) => outputs.push(NetId(position[i])),
+                None => return Err(NetlistError::UnknownOutput { name: o.clone() }),
+            }
+        }
+        drop(index);
+        // Place the gates straight into topological order.
+        let mut defs = self.defs;
+        let gates: Vec<Gate> = order
+            .iter()
+            .map(|&i| Gate {
+                name: std::mem::take(&mut defs[i].name),
+                gtype: defs[i].gtype,
+                fanin: fanin[defs[i].fanin.clone()]
+                    .iter()
+                    .map(|&f| NetId(position[f]))
+                    .collect(),
+            })
+            .collect();
+        Ok(Circuit::from_topo_gates(self.name, gates, outputs))
+    }
+}
+
+/// The nested-`Vec` build that the flat [`CircuitBuilder::build`]
+/// replaced, kept as its oracle: the body is the old one, reading the
+/// definitions in their old layout and flattening the final fan-out lists
+/// into the stored one.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::HashMap;
+
+    use super::{Circuit, CircuitBuilder};
+    use crate::error::NetlistError;
+    use crate::gate::{Gate, GateType, NetId};
+
+    pub(crate) fn build(b: CircuitBuilder) -> Result<Circuit, NetlistError> {
+        let defs = b.definitions();
+        if defs.is_empty() || b.outputs.is_empty() {
+            return Err(NetlistError::Empty);
+        }
+        let mut index: HashMap<&str, usize> = HashMap::with_capacity(defs.len());
+        for (i, (name, _, _)) in defs.iter().enumerate() {
             if index.insert(name.as_str(), i).is_some() {
                 return Err(NetlistError::DuplicateNet { name: name.clone() });
             }
         }
         // Resolve fan-ins to definition indices.
-        let mut fanin_idx: Vec<Vec<usize>> = Vec::with_capacity(self.defs.len());
-        for (name, _, fanin) in &self.defs {
+        let mut fanin_idx: Vec<Vec<usize>> = Vec::with_capacity(defs.len());
+        for (name, _, fanin) in &defs {
             let mut row = Vec::with_capacity(fanin.len());
             for f in fanin {
                 match index.get(f.as_str()) {
@@ -243,7 +451,7 @@ impl CircuitBuilder {
             fanin_idx.push(row);
         }
         // Kahn topological sort.
-        let n = self.defs.len();
+        let n = defs.len();
         let mut indegree = vec![0usize; n];
         let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, row) in fanin_idx.iter().enumerate() {
@@ -271,7 +479,7 @@ impl CircuitBuilder {
                 .find(|&i| indegree[i] > 0)
                 .expect("cycle implies a stuck node");
             return Err(NetlistError::Cyclic {
-                name: self.defs[stuck].0.clone(),
+                name: defs[stuck].0.clone(),
             });
         }
         // Remap definition index → topological position.
@@ -280,8 +488,8 @@ impl CircuitBuilder {
             position[i] = pos;
         }
         // Resolve outputs while `index` still borrows the definitions.
-        let mut outputs = Vec::with_capacity(self.outputs.len());
-        for o in &self.outputs {
+        let mut outputs = Vec::with_capacity(b.outputs.len());
+        for o in &b.outputs {
             match index.get(o.as_str()) {
                 Some(&i) => outputs.push(NetId(position[i])),
                 None => return Err(NetlistError::UnknownOutput { name: o.clone() }),
@@ -289,7 +497,7 @@ impl CircuitBuilder {
         }
         drop(index);
         let mut gates: Vec<Option<Gate>> = vec![None; n];
-        for (i, (name, gtype, _)) in self.defs.into_iter().enumerate() {
+        for (i, (name, gtype, _)) in defs.into_iter().enumerate() {
             gates[position[i]] = Some(Gate {
                 name,
                 gtype,
@@ -313,12 +521,18 @@ impl CircuitBuilder {
             }
             levels[i] = lvl;
         }
+        // Flatten into the stored layout.
+        let mut fanout_start = vec![0usize];
+        for row in &fanouts {
+            fanout_start.push(fanout_start[fanout_start.len() - 1] + row.len());
+        }
         Ok(Circuit {
-            name: self.name,
+            name: b.name,
             gates,
             inputs,
             outputs,
-            fanouts,
+            fanouts: fanouts.concat(),
+            fanout_start,
             levels,
         })
     }
@@ -326,6 +540,10 @@ impl CircuitBuilder {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn c17() -> Circuit {
@@ -460,5 +678,120 @@ mod tests {
         let h = c.gate_histogram();
         assert_eq!(h[&GateType::Nand], 6);
         assert_eq!(h[&GateType::Input], 5);
+    }
+
+    /// Faults [`random_builder`] can inject, each selected by its own
+    /// value of a fault draw; any other value injects nothing.
+    const DUPLICATE: u8 = 4;
+    const UNKNOWN_FANIN: u8 = 5;
+    const UNKNOWN_OUTPUT: u8 = 6;
+    const REWIRE: u8 = 7;
+
+    fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..i + 1));
+        }
+    }
+
+    /// A random named DAG: `n_inputs` inputs, then one gate per spec word,
+    /// each reading earlier nets (repeats allowed); outputs picked from
+    /// any net, so some also feed logic. Names are a shuffled labelling,
+    /// and definitions are given in shuffled order, so most fan-ins are
+    /// forward references. `faults` may add a duplicate name, a gate on
+    /// an unknown net, an unknown output, or rewire a fan-in to the gate
+    /// itself or a later net (a cycle when that net reads the gate).
+    fn random_builder(
+        n_inputs: usize,
+        specs: &[u64],
+        outs: &[u64],
+        seed: u64,
+        faults: [u8; 2],
+    ) -> CircuitBuilder {
+        const TYPES: [GateType; 6] = [
+            GateType::Buf,
+            GateType::Not,
+            GateType::And,
+            GateType::Nand,
+            GateType::Or,
+            GateType::Nor,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = n_inputs + specs.len();
+        let mut label: Vec<usize> = (0..n).collect();
+        shuffle(&mut label, &mut rng);
+        let name = |v: usize| format!("n{}", label[v]);
+        let mut defs: Vec<(String, GateType, Vec<String>)> = (0..n_inputs)
+            .map(|v| (name(v), GateType::Input, Vec::new()))
+            .collect();
+        let mut fanins: Vec<Vec<usize>> = specs
+            .iter()
+            .enumerate()
+            .map(|(j, &w)| {
+                let arity = if w % 6 < 2 {
+                    1
+                } else {
+                    2 + (w >> 8) as usize % 3
+                };
+                (0..arity)
+                    .map(|k| (w >> (16 + 8 * k)) as usize % (n_inputs + j))
+                    .collect()
+            })
+            .collect();
+        if faults.contains(&REWIRE) && !specs.is_empty() {
+            let j = rng.gen_range(0..specs.len());
+            fanins[j][0] = n_inputs + j + rng.gen_range(0..specs.len() - j);
+        }
+        for (j, (&w, row)) in specs.iter().zip(&fanins).enumerate() {
+            let fanin = row.iter().map(|&f| name(f)).collect();
+            defs.push((name(n_inputs + j), TYPES[(w % 6) as usize], fanin));
+        }
+        if faults.contains(&DUPLICATE) && n > 0 {
+            defs.push((name(rng.gen_range(0..n)), GateType::Input, Vec::new()));
+        }
+        if faults.contains(&UNKNOWN_FANIN) {
+            defs.push(("stray".into(), GateType::Not, vec!["ghost".into()]));
+        }
+        shuffle(&mut defs, &mut rng);
+        let mut b = CircuitBuilder::new("random");
+        for (net, gtype, fanin) in &defs {
+            if *gtype == GateType::Input {
+                b.input(net.as_str());
+            } else {
+                let fanin: Vec<&str> = fanin.iter().map(String::as_str).collect();
+                b.gate(net.as_str(), *gtype, &fanin).expect("valid arity");
+            }
+        }
+        for &o in outs.iter().filter(|_| n > 0) {
+            b.output(name(o as usize % n));
+        }
+        if faults.contains(&UNKNOWN_OUTPUT) {
+            b.output("ghost");
+        }
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The flat build gives the reference build's circuit, or its
+        /// error variant with the same name, on random named DAGs.
+        #[test]
+        fn build_matches_reference(
+            n_inputs in 0usize..6,
+            specs in prop::collection::vec(0u64..u64::MAX, 0..40),
+            outs in prop::collection::vec(0u64..u64::MAX, 0..6),
+            seed in 0u64..u64::MAX,
+            fault_a in 0u8..8,
+            fault_b in 0u8..8,
+        ) {
+            let n_inputs = if specs.is_empty() { n_inputs } else { n_inputs.max(1) };
+            let faults = [fault_a, fault_b];
+            let b = random_builder(n_inputs, &specs, &outs, seed, faults);
+            let got = b.clone().build();
+            prop_assert_eq!(&got, &reference::build(b));
+            if faults.iter().all(|&f| f < DUPLICATE) && n_inputs > 0 && !outs.is_empty() {
+                prop_assert!(got.is_ok(), "a valid DAG failed: {:?}", got);
+            }
+        }
     }
 }

@@ -102,10 +102,12 @@ impl<'a> Sta<'a> {
 
     /// Runs forward analysis with one worker thread per topological
     /// level chunk — bit-identical to [`Sta::run`], but each level's
-    /// gates are evaluated concurrently. Worth it only from several
-    /// thousand gates up: the threads are spawned per level, and on 2
-    /// cores a 2-thread pass took 2.3× the serial time at 520 nets and
-    /// broke even near 4k.
+    /// gates are evaluated concurrently. The threads are spawned per
+    /// level, and on a 2-vCPU host two threads did not beat [`Sta::run`]
+    /// at any size measured: on c880s a pass took 2.6 ms against 0.37 ms
+    /// serial (a traced perfbench run), and on the 100k-gate `sta_scale`
+    /// circuit 115–241 ms against 122–201 ms serial in the same
+    /// processes, slower in 5 of 6 of them.
     ///
     /// # Errors
     ///
