@@ -48,18 +48,18 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use ssdm_cells::CellLibrary;
-use ssdm_core::Edge;
 use ssdm_logic::Tri;
 use ssdm_models::ProposedModel;
 use ssdm_netlist::{Circuit, CrosstalkSite};
-use ssdm_sta::{IncrementalStats, Sta};
+use ssdm_sta::IncrementalStats;
 use ssdm_tsim::{SimInput, SimTrace, TimingSim};
 
 use crate::error::AtpgError;
 use crate::faulty::FaultCone;
-use crate::podem::{Atpg, AtpgConfig, AtpgStats, FaultOutcome, TestPair};
+use crate::podem::{Atpg, AtpgConfig, AtpgStats, FaultOutcome, RootTiming, TestPair};
 
 /// Per-site campaign outcome, in input order.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +90,9 @@ pub struct CampaignResult {
     /// Incremental-timing-engine counters summed over every engine the
     /// campaign used (all speculative workers plus the resolve engine).
     /// Diagnostics only: unlike `outcomes` and `stats`, these depend on
-    /// the worker count and interleaving.
+    /// the worker count and interleaving. Each fault polarity's first
+    /// timing check reads the campaign's one root STA pass and refines
+    /// nothing, so a campaign decided at the root counts no pass at all.
     pub timing: IncrementalStats,
 }
 
@@ -121,15 +123,14 @@ pub(crate) struct TestReplayer<'a> {
     circuit: &'a Circuit,
     config: &'a AtpgConfig,
     sim: TimingSim<'a, ProposedModel>,
-    /// Per (net, edge index): the setup-violation potential under the
-    /// static worst-case windows ([`AtpgConfig::setup_potential`]).
-    may_violate: Vec<[bool; 2]>,
+    /// The campaign's root timing, whose setup-potential table decides
+    /// coverage; the driver hands it to every search engine too.
+    root: Arc<RootTiming>,
 }
 
 impl<'a> TestReplayer<'a> {
     /// Creates a replayer sharing the campaign's timing configuration.
-    /// Runs one static STA pass to precompute the per-line
-    /// setup-violation-potential table.
+    /// Computes the campaign's [`RootTiming`] (one static STA pass).
     ///
     /// # Errors
     ///
@@ -139,18 +140,12 @@ impl<'a> TestReplayer<'a> {
         library: &'a CellLibrary,
         config: &'a AtpgConfig,
     ) -> Result<TestReplayer<'a>, AtpgError> {
-        let sta = Sta::new(circuit, library, config.sta.clone()).run()?;
-        let potential = config.setup_potential(circuit, &sta);
-        let may_violate = circuit
-            .topo()
-            .map(|id| [Edge::Rise, Edge::Fall].map(|edge| potential(id, edge)))
-            .collect();
         Ok(TestReplayer {
             circuit,
             config,
             sim: TimingSim::new(circuit, library, ProposedModel::new())
                 .with_config(config.sta.clone()),
-            may_violate,
+            root: RootTiming::new(circuit, library, config)?,
         })
     }
 
@@ -202,7 +197,7 @@ impl<'a> TestReplayer<'a> {
         if !self.config.fault_model.aligned(ev_v.arrival, ev_a.arrival) {
             return false;
         }
-        if !self.may_violate[site.victim.index()][ev_v.edge.index()] {
+        if !self.root.may_violate(site.victim, ev_v.edge) {
             return false;
         }
         // Observation: some primary output samples a different value when
@@ -299,6 +294,12 @@ impl<'a> AtpgDriver<'a> {
         self.resolve(sites, &replayer, speculative, timing)
     }
 
+    /// A search engine whose root timing checks read the replayer's.
+    fn search_engine(&self, replayer: &TestReplayer<'_>) -> Atpg<'a> {
+        let root = Arc::clone(&replayer.root);
+        Atpg::with_root(self.circuit, self.library, self.config.clone(), root)
+    }
+
     /// Parallel phase: workers claim sites from a shared cursor, searching
     /// each and flagging later sites whose faults a generated test covers
     /// so that no worker starts them. All results are provisional — the
@@ -320,7 +321,7 @@ impl<'a> AtpgDriver<'a> {
                 let _span = ssdm_obs::span("atpg.speculate");
                 let searched = ssdm_obs::counter("atpg.worker.searched");
                 let skipped = ssdm_obs::counter("atpg.worker.skipped");
-                let atpg = Atpg::new(self.circuit, self.library, self.config.clone());
+                let atpg = self.search_engine(replayer);
                 let mut local = Vec::new();
                 loop {
                     let j = cursor.fetch_add(1, Ordering::Relaxed);
@@ -347,6 +348,9 @@ impl<'a> AtpgDriver<'a> {
                 }
                 Ok((local, atpg.timing_stats()))
             };
+        // Spawning can wait for a core the workers already hold, so the
+        // span covers it as well as the joins.
+        let join_span = ssdm_obs::span("atpg.join");
         let results: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.jobs)
                 .map(|w| scope.spawn(move || worker(w)))
@@ -356,6 +360,7 @@ impl<'a> AtpgDriver<'a> {
                 .map(|h| h.join().expect("ATPG worker panicked"))
                 .collect()
         });
+        drop(join_span);
         let mut speculative: Vec<Option<FaultOutcome>> = vec![None; n];
         let mut timing = IncrementalStats::default();
         for r in results {
@@ -381,7 +386,7 @@ impl<'a> AtpgDriver<'a> {
     ) -> Result<CampaignResult, AtpgError> {
         let _span = ssdm_obs::span("atpg.resolve");
         let mut stats = AtpgStats::default();
-        let atpg = Atpg::new(self.circuit, self.library, self.config.clone());
+        let atpg = self.search_engine(replayer);
         let n = sites.len();
         let mut dropped_by: Vec<Option<usize>> = vec![None; n];
         let mut outcomes: Vec<SiteOutcome> = Vec::with_capacity(n);
@@ -558,6 +563,18 @@ mod tests {
             "dropping the mirrored site must not touch the engine"
         );
         assert_eq!(full.stats.detected, prefix.stats.detected + 1);
+    }
+
+    /// Every c7552s §7 site is decided by its root checks, which read the
+    /// campaign's root timing: no engine is ever built.
+    #[test]
+    fn root_decided_campaign_builds_no_engine() {
+        let c = suite::synthetic("c7552s").unwrap();
+        for jobs in [1, 2] {
+            let r = campaign(&c, 40, 7001, jobs);
+            assert_eq!(r.stats.undetectable, 40, "jobs = {jobs}");
+            assert_eq!(r.timing, IncrementalStats::default(), "jobs = {jobs}");
+        }
     }
 
     #[test]

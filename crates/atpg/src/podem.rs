@@ -1,7 +1,8 @@
 //! PODEM-style two-pattern search for crosstalk delay faults, with
 //! optional ITR pruning (the Section 7 framework).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::sync::Arc;
 
 use ssdm_cells::CellLibrary;
 use ssdm_core::{Bound, Edge, Time};
@@ -9,7 +10,7 @@ use ssdm_itr::Itr;
 use ssdm_logic::{Assignments, TransState, Tri, V2};
 use ssdm_netlist::{Circuit, CrosstalkSite, GateType, NetId};
 use ssdm_obs::Event;
-use ssdm_sta::{required_times, Sta, StaConfig, TimingView};
+use ssdm_sta::{required_times, Sta, StaConfig, StaResult, TimingView};
 
 use crate::error::{itr_conflict, AtpgError};
 use crate::fault::{CrosstalkFault, FaultModel};
@@ -96,6 +97,47 @@ impl AtpgConfig {
     }
 }
 
+/// A campaign's timing at the unconstrained ("root") state, where every
+/// line may switch: one STA pass and its setup-potential table, computed
+/// once and shared. PODEM's first timing check of every fault polarity
+/// reads it instead of refining, and the driver's replayer reads the
+/// table to decide coverage (DESIGN.md §7).
+#[derive(Debug)]
+pub(crate) struct RootTiming {
+    sta: StaResult,
+    /// Per (net, edge index): [`AtpgConfig::setup_potential`] under `sta`.
+    may_violate: Vec<[bool; 2]>,
+}
+
+impl RootTiming {
+    /// Runs the STA pass and tabulates the setup potential of every line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates STA failures (unmappable gates, missing cells).
+    pub(crate) fn new(
+        circuit: &Circuit,
+        library: &CellLibrary,
+        config: &AtpgConfig,
+    ) -> Result<Arc<RootTiming>, AtpgError> {
+        let sta = Sta::new(circuit, library, config.sta.clone()).run()?;
+        let may_violate = {
+            let potential = config.setup_potential(circuit, &sta);
+            circuit
+                .topo()
+                .map(|id| [Edge::Rise, Edge::Fall].map(|edge| potential(id, edge)))
+                .collect()
+        };
+        Ok(Arc::new(RootTiming { sta, may_violate }))
+    }
+
+    /// Whether a transition of `net` on `edge` can miss its setup deadline
+    /// under the root windows.
+    pub(crate) fn may_violate(&self, net: NetId, edge: Edge) -> bool {
+        self.may_violate[net.index()][edge.index()]
+    }
+}
+
 /// A (possibly partially specified) two-pattern test over the primary
 /// inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,7 +195,11 @@ impl AtpgStats {
 #[derive(Debug)]
 pub struct Atpg<'a> {
     circuit: &'a Circuit,
+    library: &'a CellLibrary,
     itr: Itr<'a>,
+    /// The campaign's root timing: shared by the driver, or built at this
+    /// generator's first ITR check.
+    root: OnceCell<Arc<RootTiming>>,
     /// Scratch for the faulty-machine check (confined to one thread,
     /// like `itr`).
     cone: RefCell<FaultCone>,
@@ -162,11 +208,14 @@ pub struct Atpg<'a> {
     /// `ssdm-obs` registry total `atpg.podem.backtracks` when it drops
     /// (per-worker generators sum across the campaign).
     backtrack_count: Cell<u64>,
+    /// Timing checks answered from `root` (`atpg.root_checks`).
+    root_checks: Cell<u64>,
 }
 
 impl Drop for Atpg<'_> {
     fn drop(&mut self) {
         ssdm_obs::counter("atpg.podem.backtracks").add(self.backtrack_count.get());
+        ssdm_obs::counter("atpg.root_checks").add(self.root_checks.get());
     }
 }
 
@@ -203,19 +252,55 @@ enum Step {
 
 impl<'a> Atpg<'a> {
     /// Creates a generator.
+    ///
+    /// With `use_itr`, its first timing check runs one STA pass at the
+    /// unconstrained state and keeps it: the first check of every fault
+    /// polarity runs at that state, so it reads the kept windows instead
+    /// of refining. Only later checks drive the incremental engine, which
+    /// is built at the first of them.
     pub fn new(circuit: &'a Circuit, library: &'a CellLibrary, config: AtpgConfig) -> Atpg<'a> {
         Atpg {
             circuit,
+            library,
             itr: Itr::new(circuit, library, config.sta.clone()),
+            root: OnceCell::new(),
             cone: RefCell::new(FaultCone::new(circuit)),
             config,
             backtrack_count: Cell::new(0),
+            root_checks: Cell::new(0),
         }
+    }
+
+    /// A generator whose root timing checks read the campaign's `root`.
+    pub(crate) fn with_root(
+        circuit: &'a Circuit,
+        library: &'a CellLibrary,
+        config: AtpgConfig,
+        root: Arc<RootTiming>,
+    ) -> Atpg<'a> {
+        let atpg = Atpg::new(circuit, library, config);
+        atpg.root
+            .set(root)
+            .expect("a new generator has no root timing");
+        atpg
+    }
+
+    /// The root timing, built on first use.
+    fn root(&self) -> Result<&RootTiming, AtpgError> {
+        if let Some(root) = self.root.get() {
+            return Ok(root);
+        }
+        let root = RootTiming::new(self.circuit, self.library, &self.config)?;
+        Ok(self.root.get_or_init(|| root))
     }
 
     /// Counters from the refiner's shared incremental timing engine —
     /// useful for judging how much of the PODEM search cost the dirty-cone
     /// propagation and the memo cache absorbed.
+    ///
+    /// Root checks (see [`Atpg::new`]) run no refine and count nothing
+    /// here, so a generator whose every fault is decided at the root
+    /// never builds an engine and reports zeroes.
     ///
     /// Thread-safety: one `Atpg` is confined to one thread (`Itr` uses a
     /// `RefCell`), so these counters can never be torn by concurrent
@@ -274,8 +359,10 @@ impl<'a> Atpg<'a> {
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks = 0usize;
         let iter_limit = self.config.backtrack_limit * 40 + 400;
-        for _ in 0..iter_limit {
-            let step = self.evaluate(&mut a, fault)?;
+        for iter in 0..iter_limit {
+            // The first evaluation runs at the root: `a` is fresh, so
+            // implication changes nothing and every line may switch.
+            let step = self.evaluate(&mut a, fault, iter == 0)?;
             match step {
                 Step::Detected => {
                     return Ok(FaultOutcome::Detected(self.extract_test(&a)));
@@ -394,8 +481,14 @@ impl<'a> Atpg<'a> {
 
     /// Evaluates the current branch: conflict, detection, or the next
     /// objective. Runs implication (and, with `use_itr`, timing
-    /// refinement + pruning) as a side effect on `a`.
-    fn evaluate(&self, a: &mut Assignments, fault: &CrosstalkFault) -> Result<Step, AtpgError> {
+    /// refinement + pruning) as a side effect on `a`. `at_root` says that
+    /// `a` is a fresh store.
+    fn evaluate(
+        &self,
+        a: &mut Assignments,
+        fault: &CrosstalkFault,
+        at_root: bool,
+    ) -> Result<Step, AtpgError> {
         let implied = {
             let _span = ssdm_obs::span("atpg.imply");
             ssdm_logic::imply(self.circuit, a)
@@ -410,7 +503,7 @@ impl<'a> Atpg<'a> {
         if s_v == TransState::No || s_a == TransState::No {
             return Ok(Step::Conflict);
         }
-        if self.config.use_itr && !self.timing_feasible(a, fault)? {
+        if self.config.use_itr && !self.timing_feasible(a, fault, at_root)? {
             return Ok(Step::Conflict);
         }
         // Justify the victim transition, then the aggressor's.
@@ -434,7 +527,7 @@ impl<'a> Atpg<'a> {
             drop(faulty_span);
             // Timing must hold (checked continuously with ITR; once, here,
             // without).
-            if self.config.use_itr || self.timing_feasible(a, fault)? {
+            if self.config.use_itr || self.timing_feasible(a, fault, at_root)? {
                 return Ok(Step::Detected);
             }
             return Ok(Step::Conflict);
@@ -459,11 +552,23 @@ impl<'a> Atpg<'a> {
     /// ITR-based feasibility: both fault lines keep their transition
     /// windows, the windows are alignable within the coupling window, and
     /// the slowed victim can still miss its setup deadline somewhere.
+    ///
+    /// At the root (`a` fresh) the refined windows would be the root STA
+    /// windows bit for bit, so the check reads [`RootTiming`] and runs no
+    /// refine and no required-time pass.
     fn timing_feasible(
         &self,
         a: &mut Assignments,
         fault: &CrosstalkFault,
+        at_root: bool,
     ) -> Result<bool, AtpgError> {
+        if at_root {
+            let root = self.root()?;
+            self.root_checks.set(self.root_checks.get() + 1);
+            return Ok(self.timing_check(&root.sta, fault, || {
+                root.may_violate(fault.victim(), fault.victim_edge)
+            }));
+        }
         let refined = match self.itr.refine(a) {
             Ok(r) => r,
             Err(e) => {
@@ -471,24 +576,34 @@ impl<'a> Atpg<'a> {
                 return Ok(false);
             }
         };
-        let Some(wv) = refined.line(fault.victim()).edge(fault.victim_edge) else {
-            return Ok(false);
+        Ok(self.timing_check(&refined, fault, || {
+            let may_violate = {
+                let _span = ssdm_obs::span("atpg.required");
+                self.config.setup_potential(self.circuit, &refined)
+            };
+            may_violate(fault.victim(), fault.victim_edge)
+        }))
+    }
+
+    /// The timing check on given windows: the victim's and aggressor's
+    /// windows exist, they align, then `may_violate` (run last, since the
+    /// refined case computes required times for it).
+    fn timing_check(
+        &self,
+        timing: &impl TimingView,
+        fault: &CrosstalkFault,
+        may_violate: impl FnOnce() -> bool,
+    ) -> bool {
+        let Some(wv) = timing.line(fault.victim()).edge(fault.victim_edge) else {
+            return false;
         };
-        let Some(wa) = refined.line(fault.aggressor()).edge(fault.aggressor_edge()) else {
-            return Ok(false);
+        let Some(wa) = timing.line(fault.aggressor()).edge(fault.aggressor_edge()) else {
+            return false;
         };
         // Alignment: some pair of arrivals within the coupling window.
         let w = self.config.fault_model.alignment_window;
         let expanded = Bound::new(wa.arrival.s() - w, wa.arrival.l() + w).expect("widening");
-        if !expanded.overlaps(wv.arrival) {
-            return Ok(false);
-        }
-        // Setup-violation potential under the refined windows.
-        let may_violate = {
-            let _span = ssdm_obs::span("atpg.required");
-            self.config.setup_potential(self.circuit, &refined)
-        };
-        Ok(may_violate(fault.victim(), fault.victim_edge))
+        expanded.overlaps(wv.arrival) && may_violate()
     }
 
     /// PODEM backtrace: walks an objective back to an unassigned primary
@@ -733,6 +848,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The root check reads the root STA windows and setup-potential
+    /// table; it must decide every fault polarity exactly as a refine on
+    /// a fresh store does, on the §7 sites of every suite circuit.
+    #[test]
+    fn root_check_matches_the_refined_check() {
+        let circuits = [suite::c17()]
+            .into_iter()
+            .chain(["c880s", "c1355s", "c3540s", "c7552s"].map(|n| suite::synthetic(n).unwrap()));
+        // How often each verdict came up: the sites must exercise both.
+        let mut verdicts = [0; 2];
+        for c in circuits {
+            let config = AtpgConfig::for_circuit(&c, library()).unwrap();
+            let atpg = Atpg::new(&c, library(), config);
+            let fresh = || Assignments::new(c.n_nets());
+            let mut checks = 0;
+            for site in ssdm_netlist::coupling_sites(&c, 40, 7001) {
+                for fault in CrosstalkFault::polarities(site) {
+                    let root = atpg.timing_feasible(&mut fresh(), &fault, true).unwrap();
+                    let refined = atpg.timing_feasible(&mut fresh(), &fault, false).unwrap();
+                    assert_eq!(root, refined, "{} {fault:?}", c.name());
+                    verdicts[usize::from(root)] += 1;
+                    checks += 1;
+                }
+            }
+            assert_eq!(atpg.root_checks.get(), checks);
+            let refined = atpg.itr.refine(&mut fresh()).unwrap();
+            assert!(atpg.root().unwrap().sta == refined, "{}", c.name());
+        }
+        assert!(verdicts.iter().all(|&n| n > 0), "verdicts {verdicts:?}");
     }
 
     #[test]
