@@ -7,7 +7,7 @@
 
 use ssdm_cells::{CharConfig, Characterizer};
 use ssdm_core::{Edge, Time, Transition};
-use ssdm_spice::{GateKind, GateSim, PinState};
+use ssdm_spice::{GateKind, GateSim};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Ablation — characterization grid density (NAND2)");
@@ -59,14 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let t_x = Time::from_ns(tx);
             let t_y = Time::from_ns(ty);
             let truth = sim
-                .measure(
+                .measure_switching(
                     &[
-                        PinState::Switch(Transition::new(Edge::Fall, base, t_x)),
-                        PinState::Switch(Transition::new(
-                            Edge::Fall,
-                            base + Time::from_ns(skew),
-                            t_y,
-                        )),
+                        (0, Transition::new(Edge::Fall, base, t_x)),
+                        (
+                            1,
+                            Transition::new(Edge::Fall, base + Time::from_ns(skew), t_y),
+                        ),
                     ],
                     load,
                 )?

@@ -9,7 +9,7 @@
 
 use ssdm_bench::full_library;
 use ssdm_core::{Edge, Samples, Time, Transition};
-use ssdm_spice::{GateSim, PinState};
+use ssdm_spice::GateSim;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = full_library()?;
@@ -19,14 +19,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (t_x, t_y) = (Time::from_ns(0.4), Time::from_ns(0.9));
     let base = Time::from_ns(2.0);
     let measure = |skew_ns: f64| -> Result<f64, Box<dyn std::error::Error>> {
-        let m = sim.measure(
+        let m = sim.measure_switching(
             &[
-                PinState::Switch(Transition::new(Edge::Fall, base, t_x)),
-                PinState::Switch(Transition::new(
-                    Edge::Fall,
-                    base + Time::from_ns(skew_ns),
-                    t_y,
-                )),
+                (0, Transition::new(Edge::Fall, base, t_x)),
+                (
+                    1,
+                    Transition::new(Edge::Fall, base + Time::from_ns(skew_ns), t_y),
+                ),
             ],
             load,
         )?;

@@ -9,21 +9,15 @@
 //! the result.
 
 use ssdm_core::{Edge, Time, Transition};
-use ssdm_spice::{GateSim, PinState};
+use ssdm_spice::GateSim;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = GateSim::nand(2);
     let load = sim.inverter_load();
-    let fall = |a: f64| {
-        PinState::Switch(Transition::new(
-            Edge::Fall,
-            Time::from_ns(a),
-            Time::from_ns(0.5),
-        ))
-    };
+    let fall = Transition::new(Edge::Fall, Time::from_ns(1.0), Time::from_ns(0.5));
 
-    let single = sim.measure(&[fall(1.0), PinState::Steady(true)], load)?;
-    let both = sim.measure(&[fall(1.0), fall(1.0)], load)?;
+    let single = sim.measure_switching(&[(0, fall)], load)?;
+    let both = sim.measure_switching(&[(0, fall), (1, fall)], load)?;
 
     println!("Figure 1 — NAND2, T = 0.5 ns, one minimum-inverter load");
     println!();

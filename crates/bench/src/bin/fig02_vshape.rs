@@ -8,7 +8,7 @@
 
 use ssdm_bench::{full_library, header, row};
 use ssdm_core::{Edge, Time, Transition};
-use ssdm_spice::{GateSim, PinState};
+use ssdm_spice::GateSim;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = full_library()?;
@@ -35,10 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut worst = 0.0f64;
     for step in -10..=10 {
         let skew = Time::from_ns(step as f64 * 0.12);
-        let m = sim.measure(
+        let m = sim.measure_switching(
             &[
-                PinState::Switch(Transition::new(Edge::Fall, base, t_x)),
-                PinState::Switch(Transition::new(Edge::Fall, base + skew, t_y)),
+                (0, Transition::new(Edge::Fall, base, t_x)),
+                (1, Transition::new(Edge::Fall, base + skew, t_y)),
             ],
             load,
         )?;
@@ -71,10 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut best = (0.0f64, f64::INFINITY);
             for step in -12..=12 {
                 let skew = Time::from_ns(step as f64 * 0.05);
-                let m = sim.measure(
+                let m = sim.measure_switching(
                     &[
-                        PinState::Switch(Transition::new(Edge::Fall, base, t_x)),
-                        PinState::Switch(Transition::new(Edge::Fall, base + skew, t_y)),
+                        (0, Transition::new(Edge::Fall, base, t_x)),
+                        (1, Transition::new(Edge::Fall, base + skew, t_y)),
                     ],
                     load,
                 )?;

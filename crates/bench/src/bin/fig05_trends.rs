@@ -12,7 +12,7 @@
 //!   minimum.
 
 use ssdm_core::{CurveShape, Edge, Samples, Time, Transition};
-use ssdm_spice::{GateKind, GateSim, PinState, Process};
+use ssdm_spice::{GateKind, GateSim, Process};
 
 fn sweep_t(
     sim: &GateSim,
@@ -70,14 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tskew = Vec::new();
     for i in -10..=10 {
         let s = i as f64 * 0.08;
-        let m = balanced.measure(
+        let t = Time::from_ns(0.5);
+        let m = balanced.measure_switching(
             &[
-                PinState::Switch(Transition::new(Edge::Fall, base, Time::from_ns(0.5))),
-                PinState::Switch(Transition::new(
-                    Edge::Fall,
-                    base + Time::from_ns(s),
-                    Time::from_ns(0.5),
-                )),
+                (0, Transition::new(Edge::Fall, base, t)),
+                (1, Transition::new(Edge::Fall, base + Time::from_ns(s), t)),
             ],
             load,
         )?;

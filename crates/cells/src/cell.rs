@@ -185,21 +185,10 @@ impl CharacterizedGate {
     }
 
     /// The output edge of the gate's to-controlling response (rising for
-    /// NAND, falling for NOR).
+    /// NAND, falling for NOR; see [`GateKind::ctrl_out_edge`]).
     #[inline]
     pub fn ctrl_out_edge(&self) -> Edge {
-        match self.kind {
-            GateKind::Nand => Edge::Rise,
-            GateKind::Nor => Edge::Fall,
-            // The inverter has no multi-input behaviour; both responses
-            // exist. Report Rise by convention.
-            GateKind::Inv => Edge::Rise,
-        }
-    }
-
-    /// The input edge that produces output edge `out_edge`.
-    pub fn in_edge_for(&self, out_edge: Edge) -> Edge {
-        out_edge.inverted()
+        self.kind.ctrl_out_edge()
     }
 
     /// Raw pin-timing record.
@@ -258,23 +247,6 @@ impl CharacterizedGate {
         let p = self.pin(out_edge, position)?;
         let base = p.ttime.eval(self.clamp_t(t_in));
         Ok(base + Time::from_ns(p.ttime_load_slope * (load.as_ff() - self.ref_load_ff)))
-    }
-
-    /// The transition time at which the pin-to-pin delay peaks
-    /// (`T_{F,max}` in Section 4.2), when the fitted parabola is concave
-    /// with an interior vertex; `None` in the monotone case.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CellError::BadPin`] for an out-of-range position.
-    pub fn delay_peak_t(&self, out_edge: Edge, position: usize) -> Result<Option<Time>, CellError> {
-        let p = self.pin(out_edge, position)?;
-        if p.delay.k[0] >= 0.0 {
-            return Ok(None);
-        }
-        Ok(p.delay
-            .vertex()
-            .filter(|v| *v > self.t_lo && *v < self.t_hi))
     }
 
     /// The pairwise simultaneous record for positions `(i, j)` (order
@@ -376,23 +348,12 @@ impl CharacterizedGate {
         t_j: Time,
         load: Capacitance,
     ) -> Result<VShape, CellError> {
-        let out_edge = self.ctrl_out_edge();
-        let pair = self.pair(i, j).ok_or(CellError::BadPin {
-            pin: j.max(i),
-            n: self.n,
-        })?;
-        // Normalized orientation: pair.(i, j) with i < j; if the caller
-        // asked for (j, i), mirror the skew axis.
-        let mirrored = i > j;
-        let (ti_n, tj_n) = if mirrored { (t_j, t_i) } else { (t_i, t_j) };
-        let (ti_c, tj_c) = (self.clamp_t(ti_n), self.clamp_t(tj_n));
-        let d_i = self.pin_delay(out_edge, pair.i, ti_c, load)?;
-        let d_j = self.pin_delay(out_edge, pair.j, tj_c, load)?;
-        let dload = self.pair_load_term(out_edge, pair, load, |p| p.delay_load_slope);
-        let d0 = pair.d0.eval(ti_c, tj_c) + dload;
-        let (sr, syr) = knees(pair, ti_c, tj_c);
-        let v = make_vshape((syr, d_j), (Time::ZERO, d0), (sr, d_i))?;
-        Ok(if mirrored { v.mirrored() } else { v })
+        let ([[v]], _) = self.pair_vshapes_at(
+            &[self.pin_corner(i, t_i, load)?],
+            &[self.pin_corner(j, t_j, load)?],
+            load,
+        )?;
+        Ok(v)
     }
 
     /// Prepares input `position`'s transition-time corner `t_in` for
@@ -423,32 +384,38 @@ impl CharacterizedGate {
     }
 
     /// Every V-shape a to-controlling gate evaluation searches for the
-    /// input pair `(a, b)`, from each input's `[S, L]` corners prepared by
-    /// [`CharacterizedGate::pin_corner`] at `load`: the delay shapes
-    /// `delay[ci][cj]` of corners `a[ci]` and `b[cj]`, and the
-    /// transition-time shape at the two `S` corners.
+    /// input pair `(a, b)`, from each input's transition-time corners
+    /// prepared by [`CharacterizedGate::pin_corner`] at `load` (the STA
+    /// kernel passes `[S, L]`, a single response one corner each): the
+    /// delay shapes `delay[ci][cj]` of corners `a[ci]` and `b[cj]`, and the
+    /// transition-time shape at the first corners `(a[0], b[0])`.
     ///
-    /// Bit-identical to [`CharacterizedGate::vshape_delay`] and
-    /// [`CharacterizedGate::vshape_ttime`] at those corners: the pair is
-    /// looked up and each load term computed once instead of per shape,
-    /// and the transition-time shape reuses the `(S, S)` delay shape's
-    /// `SR`/`SYR`, but every value is the same expression on the same
-    /// operands (clamping is idempotent, the cube root deterministic).
+    /// This is the one construction of a to-controlling pair's V-shapes;
+    /// [`CharacterizedGate::vshape_delay`] and
+    /// [`CharacterizedGate::vshape_ttime`] are its one-corner cases. The
+    /// pair is looked up and each load term computed once for all the
+    /// shapes, and the transition-time shape shares the `(a[0], b[0])`
+    /// delay shape's knees.
     ///
     /// # Errors
     ///
     /// Returns [`CellError::BadPin`] when the pair was not characterized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `N` is 0.
     #[inline]
-    pub fn pair_vshapes_at(
+    pub fn pair_vshapes_at<const N: usize>(
         &self,
-        a: &[PinCorner; 2],
-        b: &[PinCorner; 2],
+        a: &[PinCorner; N],
+        b: &[PinCorner; N],
         load: Capacitance,
-    ) -> Result<([[VShape; 2]; 2], VShape), CellError> {
+    ) -> Result<([[VShape; N]; N], VShape), CellError> {
         if a[0].position > b[0].position {
             let (delay, ttime) = self.pair_vshapes_at(b, a, load)?;
-            let m = |ci: usize, cj: usize| delay[cj][ci].mirrored();
-            return Ok(([[m(0, 0), m(0, 1)], [m(1, 0), m(1, 1)]], ttime.mirrored()));
+            let delay =
+                std::array::from_fn(|ci| std::array::from_fn(|cj| delay[cj][ci].mirrored()));
+            return Ok((delay, ttime.mirrored()));
         }
         let pair = self
             .pair(a[0].position, b[0].position)
@@ -458,25 +425,20 @@ impl CharacterizedGate {
             })?;
         let edge = self.ctrl_out_edge();
         let dload = self.pair_load_term(edge, pair, load, |p| p.delay_load_slope);
-        let (a_s, b_s) = (&a[0], &b[0]);
-        let ss_knees = knees(pair, a_s.t, b_s.t);
-        let mut delay = [[VShape::flat(Time::ZERO); 2]; 2];
+        let first_knees = knees(pair, a[0].t, b[0].t);
+        let mut delay = [[VShape::flat(Time::ZERO); N]; N];
         for (ci, i) in a.iter().enumerate() {
             for (cj, j) in b.iter().enumerate() {
-                let (sr, syr) = if ci == 0 && cj == 0 {
-                    ss_knees
+                let knees = if ci == 0 && cj == 0 {
+                    first_knees
                 } else {
                     knees(pair, i.t, j.t)
                 };
-                let d0 = pair.d0.eval_cbrt(i.cbrt, j.cbrt) + dload;
-                delay[ci][cj] = make_vshape((syr, j.delay), (Time::ZERO, d0), (sr, i.delay))?;
+                delay[ci][cj] = delay_vshape(pair, knees, dload, i, j)?;
             }
         }
         let tload = self.pair_load_term(edge, pair, load, |p| p.ttime_load_slope);
-        let t0 = pair.t0.eval_cbrt(a_s.cbrt, b_s.cbrt) + tload;
-        let (sr, syr) = ss_knees;
-        let s0 = pair.sk_t_min.eval(a_s.t, b_s.t).clamp(syr, sr);
-        let ttime = make_vshape((syr, b_s.ttime), (s0, t0), (sr, a_s.ttime))?;
+        let ttime = ttime_vshape(pair, first_knees, tload, &a[0], &b[0])?;
         Ok((delay, ttime))
     }
 
@@ -495,22 +457,12 @@ impl CharacterizedGate {
         t_j: Time,
         load: Capacitance,
     ) -> Result<VShape, CellError> {
-        let out_edge = self.ctrl_out_edge();
-        let pair = self.pair(i, j).ok_or(CellError::BadPin {
-            pin: j.max(i),
-            n: self.n,
-        })?;
-        let mirrored = i > j;
-        let (ti_n, tj_n) = if mirrored { (t_j, t_i) } else { (t_i, t_j) };
-        let (ti_c, tj_c) = (self.clamp_t(ti_n), self.clamp_t(tj_n));
-        let tt_i = self.pin_ttime(out_edge, pair.i, ti_c, load)?;
-        let tt_j = self.pin_ttime(out_edge, pair.j, tj_c, load)?;
-        let tload = self.pair_load_term(out_edge, pair, load, |p| p.ttime_load_slope);
-        let t0 = pair.t0.eval(ti_c, tj_c) + tload;
-        let (sr, syr) = knees(pair, ti_c, tj_c);
-        let s0 = pair.sk_t_min.eval(ti_c, tj_c).clamp(syr, sr);
-        let v = make_vshape((syr, tt_j), (s0, t0), (sr, tt_i))?;
-        Ok(if mirrored { v.mirrored() } else { v })
+        let (_, v) = self.pair_vshapes_at(
+            &[self.pin_corner(i, t_i, load)?],
+            &[self.pin_corner(j, t_j, load)?],
+            load,
+        )?;
+        Ok(v)
     }
 
     /// The zero-skew floor delay for `k ≥ 2` simultaneous switches of
@@ -571,6 +523,38 @@ fn knees(pair: &PairTiming, ti: Time, tj: Time) -> (Time, Time) {
         pair.sr.eval(ti, tj).max(Time::ZERO),
         pair.syr.eval(ti, tj).min(Time::ZERO),
     )
+}
+
+/// The delay V-shape of `pair` (normalized orientation) at corners `i`
+/// and `j` with knees `(SR, SYR)` and delay load term `dload`: vertex
+/// `(0, D0 + dload)`, left knee `(SYR, d_j)`, right knee `(SR, d_i)`.
+#[inline]
+fn delay_vshape(
+    pair: &PairTiming,
+    (sr, syr): (Time, Time),
+    dload: Time,
+    i: &PinCorner,
+    j: &PinCorner,
+) -> Result<VShape, CellError> {
+    let d0 = pair.d0.eval_cbrt(i.cbrt, j.cbrt) + dload;
+    make_vshape((syr, j.delay), (Time::ZERO, d0), (sr, i.delay))
+}
+
+/// The transition-time V-shape of `pair` (normalized orientation) at
+/// corners `i` and `j` with knees `(SR, SYR)` and transition-time load
+/// term `tload`: vertex `(SK_{t,min}, t0 + tload)`, the vertex skew
+/// clamped between the knees, and the pin transition times at the knees.
+#[inline]
+fn ttime_vshape(
+    pair: &PairTiming,
+    (sr, syr): (Time, Time),
+    tload: Time,
+    i: &PinCorner,
+    j: &PinCorner,
+) -> Result<VShape, CellError> {
+    let t0 = pair.t0.eval_cbrt(i.cbrt, j.cbrt) + tload;
+    let s0 = pair.sk_t_min.eval(i.t, j.t).clamp(syr, sr);
+    make_vshape((syr, j.ttime), (s0, t0), (sr, i.ttime))
 }
 
 /// Builds a V-shape, repairing the knee ordering if curve-fit noise pushed
@@ -763,31 +747,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn delay_peak_detection() {
-        let mut g = toy_nand2();
-        // Linear delay: no peak.
-        assert_eq!(g.delay_peak_t(Edge::Rise, 0).unwrap(), None);
-        // Make position 0 rise-delay concave with vertex at 1.0.
-        g.pins[Edge::Rise.index()][0].delay = Poly1 {
-            k: [-0.1, 0.2, 0.1],
-        };
-        let peak = g.delay_peak_t(Edge::Rise, 0).unwrap().unwrap();
-        assert!((peak.as_ns() - 1.0).abs() < 1e-12);
-        // Vertex outside the characterized range is not reported.
-        g.pins[Edge::Rise.index()][0].delay = Poly1 {
-            k: [-0.01, 0.2, 0.1],
-        }; // vertex at 10
-        assert_eq!(g.delay_peak_t(Edge::Rise, 0).unwrap(), None);
-    }
-
-    #[test]
     fn metadata_accessors() {
         let g = toy_nand2();
         assert_eq!(g.name(), "NAND2");
         assert_eq!(g.kind(), GateKind::Nand);
         assert_eq!(g.n_inputs(), 2);
         assert_eq!(g.ctrl_out_edge(), Edge::Rise);
-        assert_eq!(g.in_edge_for(Edge::Rise), Edge::Fall);
         assert_eq!(g.ref_load().as_ff(), 9.0);
         assert_eq!(g.input_cap().as_ff(), 9.0);
         assert_eq!(g.t_range(), (ns(0.1), ns(2.0)));
@@ -796,12 +761,68 @@ pub(crate) mod tests {
     }
 
     /// The pinned fast-grid library (parsed, not characterized).
-    fn pinned_library() -> &'static crate::CellLibrary {
+    pub(crate) fn pinned_library() -> &'static crate::CellLibrary {
         static LIB: std::sync::OnceLock<crate::CellLibrary> = std::sync::OnceLock::new();
         LIB.get_or_init(|| {
             crate::CellLibrary::from_text(include_str!("../../../perfbench/data/library-fast.txt"))
                 .expect("pinned library parses")
         })
+    }
+
+    /// `vshape_delay` as it was built before it became a one-corner case
+    /// of `pair_vshapes_at`: the reference the single construction is
+    /// pinned to.
+    fn reference_vshape_delay(
+        g: &CharacterizedGate,
+        i: usize,
+        j: usize,
+        t_i: Time,
+        t_j: Time,
+        load: Capacitance,
+    ) -> Result<VShape, CellError> {
+        let out_edge = g.ctrl_out_edge();
+        let pair = g.pair(i, j).ok_or(CellError::BadPin {
+            pin: j.max(i),
+            n: g.n,
+        })?;
+        let mirrored = i > j;
+        let (ti_n, tj_n) = if mirrored { (t_j, t_i) } else { (t_i, t_j) };
+        let (ti_c, tj_c) = (g.clamp_t(ti_n), g.clamp_t(tj_n));
+        let d_i = g.pin_delay(out_edge, pair.i, ti_c, load)?;
+        let d_j = g.pin_delay(out_edge, pair.j, tj_c, load)?;
+        let dload = g.pair_load_term(out_edge, pair, load, |p| p.delay_load_slope);
+        let d0 = pair.d0.eval(ti_c, tj_c) + dload;
+        let (sr, syr) = knees(pair, ti_c, tj_c);
+        let v = make_vshape((syr, d_j), (Time::ZERO, d0), (sr, d_i))?;
+        Ok(if mirrored { v.mirrored() } else { v })
+    }
+
+    /// `vshape_ttime` as it was built before it became a one-corner case
+    /// of `pair_vshapes_at`.
+    fn reference_vshape_ttime(
+        g: &CharacterizedGate,
+        i: usize,
+        j: usize,
+        t_i: Time,
+        t_j: Time,
+        load: Capacitance,
+    ) -> Result<VShape, CellError> {
+        let out_edge = g.ctrl_out_edge();
+        let pair = g.pair(i, j).ok_or(CellError::BadPin {
+            pin: j.max(i),
+            n: g.n,
+        })?;
+        let mirrored = i > j;
+        let (ti_n, tj_n) = if mirrored { (t_j, t_i) } else { (t_i, t_j) };
+        let (ti_c, tj_c) = (g.clamp_t(ti_n), g.clamp_t(tj_n));
+        let tt_i = g.pin_ttime(out_edge, pair.i, ti_c, load)?;
+        let tt_j = g.pin_ttime(out_edge, pair.j, tj_c, load)?;
+        let tload = g.pair_load_term(out_edge, pair, load, |p| p.ttime_load_slope);
+        let t0 = pair.t0.eval(ti_c, tj_c) + tload;
+        let (sr, syr) = knees(pair, ti_c, tj_c);
+        let s0 = pair.sk_t_min.eval(ti_c, tj_c).clamp(syr, sr);
+        let v = make_vshape((syr, tt_j), (s0, t0), (sr, tt_i))?;
+        Ok(if mirrored { v.mirrored() } else { v })
     }
 
     fn shape_bits(v: &VShape) -> [u64; 6] {
@@ -810,9 +831,11 @@ pub(crate) mod tests {
     }
 
     proptest::proptest! {
-        /// Corners outside `t_range` exercise the clamp before the cube
-        /// root; loads away from `ref_load` exercise the load terms; both
-        /// pin orders exercise the mirrored orientation.
+        /// The one construction against the reference: the kernel's
+        /// two-corner shapes and the one-corner `vshape_delay` /
+        /// `vshape_ttime`. Corners outside `t_range` exercise the clamp
+        /// before the cube root; loads away from `ref_load` exercise the
+        /// load terms; both pin orders exercise the mirrored orientation.
         #[test]
         fn pair_vshapes_at_is_bit_identical(
             cell in 0usize..6,
@@ -834,13 +857,19 @@ pub(crate) mod tests {
             let b = t_b.map(|t| g.pin_corner(j, ns(t), load).unwrap());
             let (delay, ttime) = g.pair_vshapes_at(&a, &b, load).unwrap();
             for (ci, cj) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                let want = g.vshape_delay(i, j, ns(t_a[ci]), ns(t_b[cj]), load).unwrap();
+                let (t_i, t_j) = (ns(t_a[ci]), ns(t_b[cj]));
+                let want = reference_vshape_delay(g, i, j, t_i, t_j, load).unwrap();
                 proptest::prop_assert_eq!(
                     shape_bits(&delay[ci][cj]), shape_bits(&want),
                     "{} ({}, {}) corner ({}, {})", name, i, j, ci, cj
                 );
+                let one = g.vshape_delay(i, j, t_i, t_j, load).unwrap();
+                proptest::prop_assert_eq!(shape_bits(&one), shape_bits(&want), "{} ({}, {}) one corner", name, i, j);
+                let want = reference_vshape_ttime(g, i, j, t_i, t_j, load).unwrap();
+                let one = g.vshape_ttime(i, j, t_i, t_j, load).unwrap();
+                proptest::prop_assert_eq!(shape_bits(&one), shape_bits(&want), "{} ({}, {}) one ttime", name, i, j);
             }
-            let want = g.vshape_ttime(i, j, ns(t_a[0]), ns(t_b[0]), load).unwrap();
+            let want = reference_vshape_ttime(g, i, j, ns(t_a[0]), ns(t_b[0]), load).unwrap();
             proptest::prop_assert_eq!(shape_bits(&ttime), shape_bits(&want), "{} ({}, {}) ttime", name, i, j);
         }
 

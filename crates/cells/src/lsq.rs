@@ -99,24 +99,6 @@ fn gauss_solve(
     Ok(x)
 }
 
-/// Residual root-mean-square error of a fitted coefficient vector.
-///
-/// # Panics
-///
-/// Panics on mismatched lengths.
-pub fn rms_residual(rows: &[Vec<f64>], y: &[f64], k: &[f64]) -> f64 {
-    assert_eq!(rows.len(), y.len());
-    let sum: f64 = rows
-        .iter()
-        .zip(y)
-        .map(|(row, &yi)| {
-            let pred: f64 = row.iter().zip(k).map(|(a, b)| a * b).sum();
-            (pred - yi) * (pred - yi)
-        })
-        .sum();
-    (sum / y.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +114,6 @@ mod tests {
         assert!((k[0] - 2.0).abs() < 1e-9);
         assert!((k[1] + 3.0).abs() < 1e-9);
         assert!((k[2] - 0.5).abs() < 1e-9);
-        assert!(rms_residual(&rows, &y, &k) < 1e-9);
     }
 
     #[test]

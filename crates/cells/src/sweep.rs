@@ -9,7 +9,7 @@
 //! bit-identical to the serial sweep.
 
 use ssdm_core::{math, Capacitance, Edge, Time, Transition};
-use ssdm_spice::{GateKind, GateSim, PinState, Process};
+use ssdm_spice::{GateKind, GateSim, Measured, Process};
 
 use crate::cell::{CharacterizedGate, PairTiming, PinTiming};
 use crate::error::CellError;
@@ -206,11 +206,6 @@ impl Characterizer {
         )
     }
 
-    /// The underlying simulator harness.
-    pub fn sim(&self) -> &GateSim {
-        &self.sim
-    }
-
     /// Runs the full characterization: pin-to-pin fits for both output
     /// edges and every position, pairwise simultaneous-switching fits for
     /// the to-controlling response, and k-way zero-skew floors.
@@ -351,14 +346,8 @@ impl Characterizer {
         )
     }
 
-    /// Input edge producing `out_edge` at the output (all our primitives
-    /// invert).
-    fn in_edge(out_edge: Edge) -> Edge {
-        out_edge.inverted()
-    }
-
     fn characterize_pin(&self, out_edge: Edge, pos: usize) -> Result<PinTiming, CellError> {
-        let in_edge = Self::in_edge(out_edge);
+        let in_edge = out_edge.inverted();
         let mut delays = Vec::with_capacity(self.config.t_grid.len());
         let mut ttimes = Vec::with_capacity(self.config.t_grid.len());
         for &t in &self.config.t_grid {
@@ -386,46 +375,32 @@ impl Characterizer {
         })
     }
 
-    /// Measures the gate with to-controlling transitions on positions
-    /// `i` and `j` at skew `δ = A_j − A_i`; other inputs steady at
-    /// non-controlling. Returns (delay from earliest arrival, output
-    /// transition time).
-    fn measure_pair(
-        &self,
-        i: usize,
-        j: usize,
-        t_i: Time,
-        t_j: Time,
-        skew: Time,
-    ) -> Result<(Time, Time), CellError> {
-        let in_edge = Self::in_edge(self.ctrl_out_edge());
-        let base = Time::from_ns(2.0 + self.config.max_skew); // keep both arrivals positive
-        let noncontrolling = !self.sim.kind().controlling_value();
-        let pins: Vec<PinState> = (0..self.sim.n_inputs())
-            .map(|p| {
-                if p == i {
-                    PinState::Switch(Transition::new(in_edge, base, t_i))
-                } else if p == j {
-                    PinState::Switch(Transition::new(in_edge, base + skew, t_j))
-                } else {
-                    PinState::Steady(noncontrolling)
-                }
-            })
-            .collect();
-        let m = self.sim.measure(&pins, self.ref_load)?;
-        Ok((m.delay, m.ttime))
+    /// Input `i`'s arrival in a pair measurement, late enough that input
+    /// `j` arrives after 0 at every bracketed skew.
+    fn pair_base(&self) -> Time {
+        Time::from_ns(2.0 + self.config.max_skew)
     }
 
-    fn ctrl_out_edge(&self) -> Edge {
-        match self.sim.kind() {
-            GateKind::Nand | GateKind::Inv => Edge::Rise,
-            GateKind::Nor => Edge::Fall,
-        }
+    /// Measures the gate with `in_edge` transitions on positions `i` and
+    /// `j` at skew `δ = A_j − A_i`; other inputs steady at
+    /// non-controlling.
+    fn measure_pair(
+        &self,
+        in_edge: Edge,
+        (i, j): (usize, usize),
+        (t_i, t_j): (Time, Time),
+        skew: Time,
+    ) -> Result<Measured, CellError> {
+        let base = self.pair_base();
+        let switching = [
+            (i, Transition::new(in_edge, base, t_i)),
+            (j, Transition::new(in_edge, base + skew, t_j)),
+        ];
+        Ok(self.sim.measure_switching(&switching, self.ref_load)?)
     }
 
     fn characterize_pair(&self, i: usize, j: usize) -> Result<PairTiming, CellError> {
-        let out_edge = self.ctrl_out_edge();
-        let in_edge = Self::in_edge(out_edge);
+        let in_edge = self.sim.kind().ctrl_out_edge().inverted();
         let grid = &self.config.t_grid;
         let mut d0_pts = Vec::new();
         let mut sr_pts = Vec::new();
@@ -434,26 +409,25 @@ impl Characterizer {
         let mut skt_pts = Vec::new();
         for &ti in grid {
             for &tj in grid {
-                let t_i = Time::from_ns(ti);
-                let t_j = Time::from_ns(tj);
+                let ts = (Time::from_ns(ti), Time::from_ns(tj));
                 // Vertex: zero-skew simultaneous switching.
-                let (d0, _tt0) = self.measure_pair(i, j, t_i, t_j, Time::ZERO)?;
+                let d0 = self.measure_pair(in_edge, (i, j), ts, Time::ZERO)?.delay;
                 d0_pts.push((ti, tj, d0.as_ns()));
                 // Saturated single-switch references.
-                let d_i = self.sim.pin_to_pin(i, in_edge, t_i, self.ref_load)?.delay;
-                let d_j = self.sim.pin_to_pin(j, in_edge, t_j, self.ref_load)?.delay;
+                let d_i = self.sim.pin_to_pin(i, in_edge, ts.0, self.ref_load)?.delay;
+                let d_j = self.sim.pin_to_pin(j, in_edge, ts.1, self.ref_load)?.delay;
                 // Right knee SR: smallest δ > 0 with delay(δ) ≥ d_i − ε.
-                let sr = self.find_knee(i, j, t_i, t_j, d_i, d0, true)?;
+                let sr = self.find_knee((i, j), ts, d_i, d0, true);
                 sr_pts.push((ti, tj, sr.as_ns()));
                 // Left knee SYR (δ < 0), relative to d_j.
-                let syr = self.find_knee(i, j, t_i, t_j, d_j, d0, false)?;
+                let syr = self.find_knee((i, j), ts, d_j, d0, false);
                 syr_pts.push((ti, tj, syr.as_ns()));
                 // Output transition time optimum over the δ-simultaneous
                 // window (unimodal per Figure 5(f)).
                 let (s_best, tt_best) = math::golden_min(
                     |s| {
-                        self.measure_pair(i, j, t_i, t_j, Time::from_ns(s))
-                            .map(|(_, tt)| tt.as_ns())
+                        self.measure_pair(in_edge, (i, j), ts, Time::from_ns(s))
+                            .map(|m| m.ttime.as_ns())
                             .unwrap_or(f64::INFINITY)
                     },
                     syr.as_ns(),
@@ -475,43 +449,19 @@ impl Characterizer {
         })
     }
 
-    /// Measures the gate with **to-non-controlling** transitions on
-    /// positions `i` and `j` at skew `δ = A_j − A_i`; other inputs steady
-    /// at non-controlling. Returns (delay from the **latest** arrival,
-    /// output transition time) — the paper's convention for
-    /// to-non-controlling responses.
-    fn measure_pair_nonctrl(
-        &self,
-        i: usize,
-        j: usize,
-        t_i: Time,
-        t_j: Time,
-        skew: Time,
-    ) -> Result<(Time, Time), CellError> {
-        let in_edge = self.ctrl_out_edge(); // non-controlling input move = inverted ctrl move
-        let base = Time::from_ns(2.0 + self.config.max_skew);
-        let noncontrolling = !self.sim.kind().controlling_value();
-        let pins: Vec<PinState> = (0..self.sim.n_inputs())
-            .map(|p| {
-                if p == i {
-                    PinState::Switch(Transition::new(in_edge, base, t_i))
-                } else if p == j {
-                    PinState::Switch(Transition::new(in_edge, base + skew, t_j))
-                } else {
-                    PinState::Steady(noncontrolling)
-                }
-            })
-            .collect();
-        let m = self.sim.measure(&pins, self.ref_load)?;
-        let latest = base.max(base + skew);
-        Ok((m.arrival - latest, m.ttime))
-    }
-
     /// Characterizes the Section 3.6 extension: the Miller-effect slowdown
     /// of simultaneous to-non-controlling transitions, as a Λ-shape over
     /// skew (peak `D0N` at δ = 0, decaying to the single-switch response
-    /// beyond the knees).
+    /// beyond the knees). Delays run from the **latest** arrival, the
+    /// paper's convention for to-non-controlling responses.
     fn characterize_nonctrl_pair(&self, i: usize, j: usize) -> Result<PairTiming, CellError> {
+        // The inputs release the output: the reverse of the controlling move.
+        let in_edge = self.sim.kind().ctrl_out_edge();
+        let base = self.pair_base();
+        let measure = |ts: (Time, Time), skew: Time| -> Result<(Time, Time), CellError> {
+            let m = self.measure_pair(in_edge, (i, j), ts, skew)?;
+            Ok((m.arrival - base.max(base + skew), m.ttime))
+        };
         let grid = &self.config.t_grid;
         let far = Time::from_ns(self.config.max_skew);
         let mut d0_pts = Vec::new();
@@ -521,34 +471,29 @@ impl Characterizer {
         let mut skt_pts = Vec::new();
         for &ti in grid {
             for &tj in grid {
-                let t_i = Time::from_ns(ti);
-                let t_j = Time::from_ns(tj);
-                let (d0n, tt0n) = self.measure_pair_nonctrl(i, j, t_i, t_j, Time::ZERO)?;
+                let ts = (Time::from_ns(ti), Time::from_ns(tj));
+                let (d0n, tt0n) = measure(ts, Time::ZERO)?;
                 d0_pts.push((ti, tj, d0n.as_ns()));
                 t0_pts.push((ti, tj, tt0n.as_ns()));
                 skt_pts.push((ti, tj, 0.0));
                 // Saturation references at large skew on each side.
-                let (sat_r, _) = self.measure_pair_nonctrl(i, j, t_i, t_j, far)?;
-                let (sat_l, _) = self.measure_pair_nonctrl(i, j, t_i, t_j, -far)?;
+                let (sat_r, _) = measure(ts, far)?;
+                let (sat_l, _) = measure(ts, -far)?;
                 // Knees: the smallest |δ| where the peak has decayed to
-                // within ε of the saturation level (the Λ is monotone on
-                // each flank to first order).
-                let eps = (d0n - sat_r).as_ns().abs().max(1e-3) * self.config.knee_epsilon.max(0.1);
-                let g_r = |s: f64| -> f64 {
-                    self.measure_pair_nonctrl(i, j, t_i, t_j, Time::from_ns(s))
-                        .map(|(d, _)| d.as_ns() - (sat_r.as_ns() + eps))
-                        .unwrap_or(-eps)
+                // within ε of the saturation level `sat` (the Λ is
+                // monotone on each flank to first order).
+                let knee = |sat: Time, lo: f64, hi: f64| {
+                    let eps =
+                        (d0n - sat).as_ns().abs().max(1e-3) * self.config.knee_epsilon.max(0.1);
+                    let g = |s: f64| -> f64 {
+                        measure(ts, Time::from_ns(s))
+                            .map(|(d, _)| d.as_ns() - (sat.as_ns() + eps))
+                            .unwrap_or(-eps)
+                    };
+                    math::bisect(g, lo, hi, self.config.skew_tol * 4.0)
                 };
-                let sr =
-                    math::bisect(g_r, 0.0, far.as_ns(), self.config.skew_tol * 4.0).unwrap_or(0.0);
-                let eps_l =
-                    (d0n - sat_l).as_ns().abs().max(1e-3) * self.config.knee_epsilon.max(0.1);
-                let g_l = |s: f64| -> f64 {
-                    self.measure_pair_nonctrl(i, j, t_i, t_j, Time::from_ns(s))
-                        .map(|(d, _)| d.as_ns() - (sat_l.as_ns() + eps_l))
-                        .unwrap_or(-eps_l)
-                };
-                let syr = math::bisect(g_l, -far.as_ns(), 0.0, self.config.skew_tol * 4.0)
+                let sr = knee(sat_r, 0.0, far.as_ns()).unwrap_or(0.0);
+                let syr = knee(sat_l, -far.as_ns(), 0.0)
                     .map(|s| s.min(0.0))
                     .unwrap_or(0.0);
                 sr_pts.push((ti, tj, sr.max(0.0)));
@@ -566,67 +511,46 @@ impl Characterizer {
         })
     }
 
-    /// Locates a V-shape knee by bisecting `delay(δ) − (d_single − ε)` on
-    /// the positive (`positive_side`) or negative skew axis.
-    #[allow(clippy::too_many_arguments)]
+    /// Locates a to-controlling V-shape knee by bisecting
+    /// `delay(δ) − (d_single − ε)` on the positive (`positive_side`) or
+    /// negative skew axis.
     fn find_knee(
         &self,
-        i: usize,
-        j: usize,
-        t_i: Time,
-        t_j: Time,
+        pair: (usize, usize),
+        ts: (Time, Time),
         d_single: Time,
         d0: Time,
         positive_side: bool,
-    ) -> Result<Time, CellError> {
+    ) -> Time {
+        let in_edge = self.sim.kind().ctrl_out_edge().inverted();
         let eps = (d_single - d0).as_ns().abs().max(1e-3) * self.config.knee_epsilon;
         let target = d_single.as_ns() - eps;
         let g = |s: f64| -> f64 {
-            self.measure_pair(i, j, t_i, t_j, Time::from_ns(s))
-                .map(|(d, _)| d.as_ns() - target)
+            self.measure_pair(in_edge, pair, ts, Time::from_ns(s))
+                .map(|m| m.delay.as_ns() - target)
                 .unwrap_or(eps)
         };
-        let root = if positive_side {
-            math::bisect(g, 0.0, self.config.max_skew, self.config.skew_tol)
+        let (lo, hi, edge) = if positive_side {
+            (0.0, self.config.max_skew, self.config.max_skew)
         } else {
-            // Left flank: g(−max) ≈ +ε, g(0) < 0 → bracket is [−max, 0].
-            math::bisect(g, -self.config.max_skew, 0.0, self.config.skew_tol)
+            // Left flank: g(−max) ≈ +ε, g(0) < 0.
+            (-self.config.max_skew, 0.0, -self.config.max_skew)
         };
-        match root {
-            Some(s) => Ok(Time::from_ns(s)),
-            // No sign change: simultaneous switching never reached the
-            // single-switch level inside the bracket; saturate at the
-            // bracket edge.
-            None => Ok(Time::from_ns(if positive_side {
-                self.config.max_skew
-            } else {
-                -self.config.max_skew
-            })),
-        }
+        // No sign change: simultaneous switching never reached the
+        // single-switch level inside the bracket; saturate at the bracket
+        // edge.
+        Time::from_ns(math::bisect(g, lo, hi, self.config.skew_tol).unwrap_or(edge))
     }
 
     /// Zero-skew floor for `k` simultaneous equal-`T` switches on positions
     /// `0..k`.
     fn characterize_kway(&self, k: usize) -> Result<Poly1, CellError> {
-        let out_edge = self.ctrl_out_edge();
-        let in_edge = Self::in_edge(out_edge);
-        let noncontrolling = !self.sim.kind().controlling_value();
+        let in_edge = self.sim.kind().ctrl_out_edge().inverted();
         let mut ds = Vec::with_capacity(self.config.t_grid.len());
         for &t in &self.config.t_grid {
-            let pins: Vec<PinState> = (0..self.sim.n_inputs())
-                .map(|p| {
-                    if p < k {
-                        PinState::Switch(Transition::new(
-                            in_edge,
-                            Time::from_ns(2.0),
-                            Time::from_ns(t),
-                        ))
-                    } else {
-                        PinState::Steady(noncontrolling)
-                    }
-                })
-                .collect();
-            let m = self.sim.measure(&pins, self.ref_load)?;
+            let tr = Transition::new(in_edge, Time::from_ns(2.0), Time::from_ns(t));
+            let switching: Vec<(usize, Transition)> = (0..k).map(|p| (p, tr)).collect();
+            let m = self.sim.measure_switching(&switching, self.ref_load)?;
             ds.push(m.delay.as_ns());
         }
         Poly1::fit(&self.config.t_grid, &ds, "k-way floor")
@@ -636,7 +560,15 @@ impl Characterizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::tests::pinned_library;
     use ssdm_core::Bound;
+
+    /// A cell of the pinned fast library, which equals a cold
+    /// `CharConfig::fast()` characterization
+    /// (`cold_fast_library_matches_pinned_copy`).
+    fn pinned(name: &str) -> &'static CharacterizedGate {
+        pinned_library().get(name).expect("standard cell")
+    }
 
     fn ns(x: f64) -> Time {
         Time::from_ns(x)
@@ -658,10 +590,9 @@ mod tests {
 
     #[test]
     fn nand2_characterization_matches_simulator() {
-        let ch = Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast()).unwrap();
-        let cell = ch.characterize().unwrap();
+        let cell = pinned("NAND2");
         let load = cell.ref_load();
-        let sim = ch.sim();
+        let sim = &GateSim::nand(2);
 
         // Pin-to-pin delay model vs direct simulation at an off-grid T.
         let t = ns(0.45);
@@ -676,7 +607,7 @@ mod tests {
         let v = cell.vshape_delay(0, 1, t, t, load).unwrap();
         let m0 = {
             let tr = Transition::new(Edge::Fall, ns(2.0), t);
-            sim.measure(&[PinState::Switch(tr), PinState::Switch(tr)], load)
+            sim.measure_switching(&[(0, tr), (1, tr)], load)
                 .unwrap()
                 .delay
         };
@@ -695,10 +626,9 @@ mod tests {
 
     #[test]
     fn nand2_vshape_tracks_simulator_across_skews() {
-        let ch = Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast()).unwrap();
-        let cell = ch.characterize().unwrap();
+        let cell = pinned("NAND2");
         let load = cell.ref_load();
-        let sim = ch.sim();
+        let sim = GateSim::nand(2);
         let t = ns(0.5);
         let mut worst = Time::ZERO;
         for s in [-1.2, -0.4, -0.15, 0.0, 0.1, 0.25, 0.6, 1.5] {
@@ -707,7 +637,7 @@ mod tests {
             let tr_i = Transition::new(Edge::Fall, ns(2.0), t);
             let tr_j = Transition::new(Edge::Fall, ns(2.0) + skew, t);
             let meas = sim
-                .measure(&[PinState::Switch(tr_i), PinState::Switch(tr_j)], load)
+                .measure_switching(&[(0, tr_i), (1, tr_j)], load)
                 .unwrap()
                 .delay;
             worst = worst.max((model - meas).abs());
@@ -716,9 +646,19 @@ mod tests {
     }
 
     #[test]
+    /// The one serial `Characterizer::characterize` in the unit tests: a
+    /// cold INV prints byte for byte as the pinned copy's INV block.
     fn inverter_has_no_pairs() {
         let ch = Characterizer::min_size("INV", GateKind::Inv, 1, CharConfig::fast()).unwrap();
         let cell = ch.characterize().unwrap();
+        let mut lib = crate::CellLibrary::new();
+        lib.insert(cell.clone());
+        let text = lib.to_text();
+        let pinned_text = include_str!("../../../perfbench/data/library-fast.txt");
+        assert!(
+            pinned_text.starts_with(&text),
+            "serial INV differs from the pinned copy:\n{text}"
+        );
         assert!(cell.pairs().is_empty());
         assert!(cell.kway_fits().is_empty());
         let d = cell
@@ -729,8 +669,7 @@ mod tests {
 
     #[test]
     fn nand3_kway_floor_is_below_pairwise() {
-        let ch = Characterizer::min_size("NAND3", GateKind::Nand, 3, CharConfig::fast()).unwrap();
-        let cell = ch.characterize().unwrap();
+        let cell = pinned("NAND3");
         let t = ns(0.7);
         let floor3 = cell.kway_floor(3, t).unwrap();
         let floor2 = cell.kway_floor(2, t).unwrap();
@@ -745,8 +684,7 @@ mod tests {
 
     #[test]
     fn vshape_min_over_unbounded_is_vertex() {
-        let ch = Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast()).unwrap();
-        let cell = ch.characterize().unwrap();
+        let cell = pinned("NAND2");
         let v = cell
             .vshape_delay(0, 1, ns(0.5), ns(0.9), cell.ref_load())
             .unwrap();
@@ -777,8 +715,7 @@ mod tests {
 
     #[test]
     fn load_slope_is_positive() {
-        let ch = Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast()).unwrap();
-        let cell = ch.characterize().unwrap();
+        let cell = pinned("NAND2");
         let light = cell.pin_delay(Edge::Rise, 0, ns(0.5), ff(9.0)).unwrap();
         let heavy = cell.pin_delay(Edge::Rise, 0, ns(0.5), ff(36.0)).unwrap();
         assert!(heavy > light);

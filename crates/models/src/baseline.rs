@@ -19,7 +19,7 @@
 
 use ssdm_cells::CharacterizedGate;
 use ssdm_core::{Capacitance, Time, Transition};
-use ssdm_spice::{GateKind, GateSim, PinState, Process};
+use ssdm_spice::{GateKind, GateSim, Process};
 
 use crate::error::ModelError;
 use crate::model::{classify, DelayModel, GateResponse, SwitchClass};
@@ -164,7 +164,7 @@ impl CollapsingModel {
             }
         };
         let eq = Transition::new(stim.in_edge, arrival_eff, t_eff);
-        let m = inv.measure(&[PinState::Switch(eq)], load)?;
+        let m = inv.measure_switching(&[(0, eq)], load)?;
         Ok(GateResponse {
             out_edge: stim.out_edge,
             arrival: m.arrival,
@@ -256,18 +256,10 @@ impl DelayModel for NabaviModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_cells::{CharConfig, Characterizer};
     use ssdm_core::Edge;
-    use std::sync::OnceLock;
 
     fn nand2() -> &'static CharacterizedGate {
-        static CELL: OnceLock<CharacterizedGate> = OnceLock::new();
-        CELL.get_or_init(|| {
-            Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast())
-                .unwrap()
-                .characterize()
-                .unwrap()
-        })
+        crate::test_cell("NAND2")
     }
 
     fn fall(a: f64, t: f64) -> Transition {
@@ -387,13 +379,7 @@ mod tests {
     fn collapsing_models_are_position_blind() {
         // Characterize a NAND3 and compare positions 0 and 2: the real pin
         // tables differ, the collapsed model cannot.
-        static CELL3: OnceLock<CharacterizedGate> = OnceLock::new();
-        let cell = CELL3.get_or_init(|| {
-            Characterizer::min_size("NAND3", GateKind::Nand, 3, CharConfig::fast())
-                .unwrap()
-                .characterize()
-                .unwrap()
-        });
+        let cell = crate::test_cell("NAND3");
         let jun = JunModel::default();
         let near = jun
             .response(cell, &[(0, fall(1.0, 0.5))], cell.ref_load())

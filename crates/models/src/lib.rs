@@ -56,3 +56,18 @@ pub use error::ModelError;
 pub use model::{DelayModel, GateResponse, SwitchClass};
 pub use proposed::ProposedModel;
 pub use reference::SpiceReference;
+
+/// A cell of the pinned fast-grid library, parsed once per test binary (it
+/// equals a cold `CharConfig::fast()` characterization; `ssdm-cells`
+/// checks that).
+#[cfg(test)]
+pub(crate) fn test_cell(name: &str) -> &'static ssdm_cells::CharacterizedGate {
+    use std::sync::OnceLock;
+    static LIB: OnceLock<ssdm_cells::CellLibrary> = OnceLock::new();
+    LIB.get_or_init(|| {
+        ssdm_cells::CellLibrary::from_text(include_str!("../../../perfbench/data/library-fast.txt"))
+            .expect("pinned library parses")
+    })
+    .get(name)
+    .expect("standard cell")
+}

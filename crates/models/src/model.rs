@@ -28,24 +28,6 @@ pub struct GateResponse {
     pub ttime: Time,
 }
 
-impl GateResponse {
-    /// Gate delay per the paper's conventions: arrival minus the earliest
-    /// switching-input arrival for to-controlling responses, minus the
-    /// latest for to-non-controlling.
-    pub fn delay_from(&self, switching: &[(usize, Transition)], class: SwitchClass) -> Time {
-        let fold = match class {
-            SwitchClass::ToControlling => Time::min,
-            SwitchClass::ToNonControlling => Time::max,
-        };
-        let init = match class {
-            SwitchClass::ToControlling => Time::INFINITY,
-            SwitchClass::ToNonControlling => Time::NEG_INFINITY,
-        };
-        let reference = switching.iter().map(|(_, t)| t.arrival).fold(init, fold);
-        self.arrival - reference
-    }
-}
-
 /// A validated stimulus: same-direction transitions on distinct pins.
 #[derive(Debug, Clone)]
 pub struct Stimulus<'a> {
@@ -135,19 +117,9 @@ pub trait DelayModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_cells::{CharConfig, Characterizer};
 
-    fn nand2() -> CharacterizedGate {
-        // Characterization is slow; cache one instance for this module.
-        use std::sync::OnceLock;
-        static CELL: OnceLock<CharacterizedGate> = OnceLock::new();
-        CELL.get_or_init(|| {
-            Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast())
-                .unwrap()
-                .characterize()
-                .unwrap()
-        })
-        .clone()
+    fn nand2() -> &'static CharacterizedGate {
+        crate::test_cell("NAND2")
     }
 
     fn tr(edge: Edge, a: f64) -> Transition {
@@ -158,7 +130,7 @@ mod tests {
     fn classify_to_controlling_nand() {
         let cell = nand2();
         let sw = [(0, tr(Edge::Fall, 1.0)), (1, tr(Edge::Fall, 1.2))];
-        let s = classify(&cell, &sw).unwrap();
+        let s = classify(cell, &sw).unwrap();
         assert_eq!(s.class, SwitchClass::ToControlling);
         assert_eq!(s.out_edge, Edge::Rise);
         assert_eq!(s.in_edge, Edge::Fall);
@@ -168,7 +140,7 @@ mod tests {
     fn classify_to_non_controlling_nand() {
         let cell = nand2();
         let sw = [(0, tr(Edge::Rise, 1.0))];
-        let s = classify(&cell, &sw).unwrap();
+        let s = classify(cell, &sw).unwrap();
         assert_eq!(s.class, SwitchClass::ToNonControlling);
         assert_eq!(s.out_edge, Edge::Fall);
     }
@@ -176,30 +148,12 @@ mod tests {
     #[test]
     fn classify_rejects_bad_stimuli() {
         let cell = nand2();
-        assert!(classify(&cell, &[]).is_err());
+        assert!(classify(cell, &[]).is_err());
         let mixed = [(0, tr(Edge::Fall, 1.0)), (1, tr(Edge::Rise, 1.0))];
-        assert!(classify(&cell, &mixed).is_err());
+        assert!(classify(cell, &mixed).is_err());
         let dup = [(0, tr(Edge::Fall, 1.0)), (0, tr(Edge::Fall, 1.5))];
-        assert!(classify(&cell, &dup).is_err());
+        assert!(classify(cell, &dup).is_err());
         let oob = [(7, tr(Edge::Fall, 1.0))];
-        assert!(classify(&cell, &oob).is_err());
-    }
-
-    #[test]
-    fn delay_from_uses_the_right_reference() {
-        let sw = [(0, tr(Edge::Fall, 1.0)), (1, tr(Edge::Fall, 2.0))];
-        let resp = GateResponse {
-            out_edge: Edge::Rise,
-            arrival: Time::from_ns(2.5),
-            ttime: Time::from_ns(0.2),
-        };
-        assert_eq!(
-            resp.delay_from(&sw, SwitchClass::ToControlling),
-            Time::from_ns(1.5)
-        );
-        assert_eq!(
-            resp.delay_from(&sw, SwitchClass::ToNonControlling),
-            Time::from_ns(0.5)
-        );
+        assert!(classify(cell, &oob).is_err());
     }
 }

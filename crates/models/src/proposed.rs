@@ -33,8 +33,10 @@ impl ProposedModel {
     }
 
     /// The model plus the Section 3.6 extension: Λ-shaped Miller slowdown
-    /// for simultaneous to-non-controlling transitions (requires a library
-    /// characterized with `nonctrl_pairs`).
+    /// for simultaneous to-non-controlling transitions. It reads the
+    /// to-non-controlling pair records of a library characterized with
+    /// `nonctrl_pairs`; a response that needs a missing one fails with
+    /// [`ModelError::Cell`].
     pub fn with_miller() -> ProposedModel {
         ProposedModel { miller: true }
     }
@@ -79,26 +81,17 @@ impl DelayModel for ProposedModel {
                         if pin == w_pin {
                             continue;
                         }
-                        if let Ok(v) =
-                            cell.vshape_nonctrl_delay(w_pin, pin, w_tr.ttime, tr.ttime, load)
-                        {
-                            let skew = tr.arrival - w_tr.arrival;
-                            // Bump relative to the winner's own saturated
-                            // (single-switch) flank at δ → −∞ (the
-                            // companion leads the winner).
-                            let flank = v.left_knee().1;
-                            let bump = (v.eval(skew) - flank).max(Time::ZERO);
-                            arrival += bump;
-                        }
-                        if let Ok(tpk) = cell.nonctrl_ttime_peak(w_pin, pin, w_tr.ttime, tr.ttime) {
-                            let skew = tr.arrival - w_tr.arrival;
-                            if let Ok(v) =
-                                cell.vshape_nonctrl_delay(w_pin, pin, w_tr.ttime, tr.ttime, load)
-                            {
-                                if v.simultaneous_window().contains(skew) {
-                                    ttime = ttime.max(tpk);
-                                }
-                            }
+                        let v =
+                            cell.vshape_nonctrl_delay(w_pin, pin, w_tr.ttime, tr.ttime, load)?;
+                        let skew = tr.arrival - w_tr.arrival;
+                        // Bump relative to the winner's own saturated
+                        // (single-switch) flank at δ → −∞ (the companion
+                        // leads the winner).
+                        let flank = v.left_knee().1;
+                        arrival += (v.eval(skew) - flank).max(Time::ZERO);
+                        if v.simultaneous_window().contains(skew) {
+                            let tpk = cell.nonctrl_ttime_peak(w_pin, pin, w_tr.ttime, tr.ttime)?;
+                            ttime = ttime.max(tpk);
                         }
                     }
                 }
@@ -135,20 +128,11 @@ impl ProposedModel {
                     .expect("finite arrivals")
             })
             .expect("classify guarantees non-empty");
-        let d_e = cell.pin_delay(stim.out_edge, e_pin, e_tr.ttime, load)?;
-
-        if switching.len() == 1 {
-            let ttime = cell.pin_ttime(stim.out_edge, e_pin, e_tr.ttime, load)?;
-            return Ok(GateResponse {
-                out_edge: stim.out_edge,
-                arrival: e_tr.arrival + d_e,
-                ttime,
-            });
-        }
-
-        // Pairwise V-shape speed-ups relative to the earliest input.
-        let mut delay = d_e;
+        // A single switch keeps its pin-to-pin timing; each further input
+        // composes its pairwise V-shape with the earliest one.
+        let mut delay = cell.pin_delay(stim.out_edge, e_pin, e_tr.ttime, load)?;
         let mut ttime = cell.pin_ttime(stim.out_edge, e_pin, e_tr.ttime, load)?;
+        let corner = |pin, t| cell.pin_corner(pin, t, load).map(|c| [c]);
         let mut n_simultaneous = 1usize;
         let mut t_sum = e_tr.ttime;
         for (m_idx, &(m_pin, m_tr)) in switching.iter().enumerate() {
@@ -156,7 +140,8 @@ impl ProposedModel {
                 continue;
             }
             let skew = m_tr.arrival - e_tr.arrival; // δ = A_m − A_e ≥ 0
-            let v = cell.vshape_delay(e_pin, m_pin, e_tr.ttime, m_tr.ttime, load)?;
+            let (e, m) = (corner(e_pin, e_tr.ttime)?, corner(m_pin, m_tr.ttime)?);
+            let ([[v]], vt) = cell.pair_vshapes_at(&e, &m, load)?;
             let pair_delay = v.eval(skew);
             // Multiplicative composition: each additional input scales the
             // delay by its pairwise ratio (1 when outside the
@@ -172,7 +157,6 @@ impl ProposedModel {
                 t_sum += m_tr.ttime;
             }
             // Output transition time: best (smallest) pairwise prediction.
-            let vt = cell.vshape_ttime(e_pin, m_pin, e_tr.ttime, m_tr.ttime, load)?;
             ttime = ttime.min(vt.eval(skew));
         }
         // Floor at the characterized k-way zero-skew delay so that k equal
@@ -194,29 +178,14 @@ impl ProposedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_cells::{CharConfig, Characterizer};
     use ssdm_core::Edge;
-    use ssdm_spice::GateKind;
-    use std::sync::OnceLock;
 
     fn nand2() -> &'static CharacterizedGate {
-        static CELL: OnceLock<CharacterizedGate> = OnceLock::new();
-        CELL.get_or_init(|| {
-            Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast())
-                .unwrap()
-                .characterize()
-                .unwrap()
-        })
+        crate::test_cell("NAND2")
     }
 
     fn nand3() -> &'static CharacterizedGate {
-        static CELL: OnceLock<CharacterizedGate> = OnceLock::new();
-        CELL.get_or_init(|| {
-            Characterizer::min_size("NAND3", GateKind::Nand, 3, CharConfig::fast())
-                .unwrap()
-                .characterize()
-                .unwrap()
-        })
+        crate::test_cell("NAND3")
     }
 
     fn fall(a: f64, t: f64) -> Transition {
@@ -362,6 +331,33 @@ mod tests {
         assert!((re.arrival - rb.arrival).abs() < Time::from_ps(25.0));
         assert_eq!(base.name(), "proposed");
         assert_eq!(ext.name(), "proposed+miller");
+    }
+
+    #[test]
+    fn miller_without_npair_records_fails_and_the_base_model_does_not() {
+        let text: String = include_str!("../../../perfbench/data/library-fast.txt")
+            .lines()
+            .filter(|l| !l.starts_with("npair "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let lib = ssdm_cells::CellLibrary::from_text(&text).unwrap();
+        let bare = lib.get("NAND2").unwrap();
+        let rise = |a: f64| Transition::new(Edge::Rise, Time::from_ns(a), Time::from_ns(0.8));
+        let stim = [(0usize, rise(2.0)), (1usize, rise(2.1))];
+        let load = bare.ref_load();
+        let r = ProposedModel::with_miller().response(bare, &stim, load);
+        assert!(
+            matches!(
+                r,
+                Err(ModelError::Cell(ssdm_cells::CellError::BadPin { .. }))
+            ),
+            "{r:?}"
+        );
+        let base = ProposedModel::new();
+        assert_eq!(
+            base.response(bare, &stim, load).unwrap(),
+            base.response(nand2(), &stim, load).unwrap()
+        );
     }
 
     #[test]

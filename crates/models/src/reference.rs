@@ -2,7 +2,7 @@
 
 use ssdm_cells::CharacterizedGate;
 use ssdm_core::{Capacitance, Transition};
-use ssdm_spice::{GateSim, PinState, Process};
+use ssdm_spice::{GateSim, Process};
 
 use crate::error::ModelError;
 use crate::model::{classify, DelayModel, GateResponse};
@@ -47,14 +47,7 @@ impl DelayModel for SpiceReference {
             cell.wp_um(),
             self.process.clone(),
         )?;
-        let noncontrolling = !cell.kind().controlling_value();
-        let pins: Vec<PinState> = (0..cell.n_inputs())
-            .map(|p| match switching.iter().find(|&&(pin, _)| pin == p) {
-                Some(&(_, tr)) => PinState::Switch(tr),
-                None => PinState::Steady(noncontrolling),
-            })
-            .collect();
-        let m = sim.measure(&pins, load)?;
+        let m = sim.measure_switching(switching, load)?;
         debug_assert_eq!(m.out_edge, stim.out_edge);
         Ok(GateResponse {
             out_edge: m.out_edge,
@@ -68,19 +61,10 @@ impl DelayModel for SpiceReference {
 mod tests {
     use super::*;
     use crate::proposed::ProposedModel;
-    use ssdm_cells::{CharConfig, Characterizer};
     use ssdm_core::{Edge, Time};
-    use ssdm_spice::GateKind;
-    use std::sync::OnceLock;
 
     fn nand2() -> &'static CharacterizedGate {
-        static CELL: OnceLock<CharacterizedGate> = OnceLock::new();
-        CELL.get_or_init(|| {
-            Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast())
-                .unwrap()
-                .characterize()
-                .unwrap()
-        })
+        crate::test_cell("NAND2")
     }
 
     fn fall(a: f64, t: f64) -> Transition {

@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use ssdm_core::Edge;
+
 use crate::circuit::{Circuit, Node, Transistor};
 use crate::error::SpiceError;
 use crate::mosfet::{MosType, Mosfet};
@@ -29,6 +31,18 @@ impl GateKind {
         match self {
             GateKind::Nand | GateKind::Inv => false,
             GateKind::Nor => true,
+        }
+    }
+
+    /// The output edge of the to-controlling response: rising for NAND,
+    /// falling for NOR. The inverter has both responses and reports
+    /// rising by convention. Every primitive inverts, so the inputs of
+    /// that response make the opposite edge.
+    #[inline]
+    pub fn ctrl_out_edge(self) -> Edge {
+        match self {
+            GateKind::Nand | GateKind::Inv => Edge::Rise,
+            GateKind::Nor => Edge::Fall,
         }
     }
 
@@ -209,6 +223,9 @@ mod tests {
     fn controlling_values() {
         assert!(!GateKind::Nand.controlling_value());
         assert!(GateKind::Nor.controlling_value());
+        assert_eq!(GateKind::Nand.ctrl_out_edge(), Edge::Rise);
+        assert_eq!(GateKind::Nor.ctrl_out_edge(), Edge::Fall);
+        assert_eq!(GateKind::Inv.ctrl_out_edge(), Edge::Rise);
     }
 
     #[test]

@@ -25,14 +25,12 @@
 //!
 //! ```
 //! use ssdm_core::{Capacitance, Edge, Time, Transition};
-//! use ssdm_spice::{GateSim, PinState};
+//! use ssdm_spice::GateSim;
 //!
 //! let sim = GateSim::nand(2);
 //! // Falling transition on input 0, the other input held at non-controlling 1.
-//! let m = sim.measure(&[
-//!     PinState::Switch(Transition::new(Edge::Fall, Time::from_ns(1.0), Time::from_ns(0.5))),
-//!     PinState::Steady(true),
-//! ], Capacitance::from_ff(12.0))?;
+//! let fall = Transition::new(Edge::Fall, Time::from_ns(1.0), Time::from_ns(0.5));
+//! let m = sim.measure_switching(&[(0, fall)], Capacitance::from_ff(12.0))?;
 //! assert_eq!(m.out_edge, Edge::Rise);
 //! assert!(m.delay > Time::ZERO);
 //! # Ok::<(), ssdm_spice::SpiceError>(())

@@ -249,14 +249,14 @@ fn window(transitions: &[Transition], load: Capacitance) -> (Time, Time) {
 ///
 /// ```
 /// use ssdm_core::{Capacitance, Edge, Time, Transition};
-/// use ssdm_spice::{GateSim, PinState};
+/// use ssdm_spice::GateSim;
 ///
 /// // Figure 1: simultaneous falling inputs switch a NAND faster than one.
 /// let sim = GateSim::nand(2);
-/// let t = |a: f64| Transition::new(Edge::Fall, Time::from_ns(a), Time::from_ns(0.4));
+/// let t = Transition::new(Edge::Fall, Time::from_ns(1.0), Time::from_ns(0.4));
 /// let load = Capacitance::from_ff(12.0);
-/// let single = sim.measure(&[PinState::Switch(t(1.0)), PinState::Steady(true)], load)?;
-/// let both = sim.measure(&[PinState::Switch(t(1.0)), PinState::Switch(t(1.0))], load)?;
+/// let single = sim.measure_switching(&[(0, t)], load)?;
+/// let both = sim.measure_switching(&[(0, t), (1, t)], load)?;
 /// assert!(both.delay < single.delay);
 /// # Ok::<(), ssdm_spice::SpiceError>(())
 /// ```
@@ -605,14 +605,42 @@ impl GateSim {
         plan
     }
 
-    /// Pin-to-pin measurement: a single transition on `pin` with all other
-    /// inputs steady at the non-controlling value, per the paper's
-    /// definition of `d^Z_{X,tr}`.
+    /// Measures the gate with the listed `(pin, transition)` inputs
+    /// switching and every other input held at the non-controlling level:
+    /// the stimulus behind every pin-to-pin, pair and k-way measurement of
+    /// the paper's Section 3.
     ///
     /// # Errors
     ///
-    /// As for [`GateSim::measure`], plus [`SpiceError::BadStimulus`] when
-    /// `pin` is out of range.
+    /// As for [`GateSim::measure`], plus [`SpiceError::BadStimulus`] when a
+    /// pin is out of range or listed twice.
+    pub fn measure_switching(
+        &self,
+        switching: &[(usize, Transition)],
+        load: Capacitance,
+    ) -> Result<Measured, SpiceError> {
+        let mut pins = vec![PinState::Steady(!self.kind.controlling_value()); self.n];
+        for &(pin, tr) in switching {
+            let reason = match pins.get_mut(pin) {
+                Some(p @ PinState::Steady(_)) => {
+                    *p = PinState::Switch(tr);
+                    continue;
+                }
+                Some(PinState::Switch(_)) => format!("pin {pin} switches twice"),
+                None => format!("pin {pin} out of range for {}-input gate", self.n),
+            };
+            return Err(SpiceError::BadStimulus { reason });
+        }
+        self.measure(&pins, load)
+    }
+
+    /// Pin-to-pin measurement: a single transition on `pin` at 1 ns with
+    /// all other inputs steady at the non-controlling value, per the
+    /// paper's definition of `d^Z_{X,tr}`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`GateSim::measure_switching`].
     pub fn pin_to_pin(
         &self,
         pin: usize,
@@ -620,22 +648,8 @@ impl GateSim {
         ttime: Time,
         load: Capacitance,
     ) -> Result<Measured, SpiceError> {
-        if pin >= self.n {
-            return Err(SpiceError::BadStimulus {
-                reason: format!("pin {pin} out of range for {}-input gate", self.n),
-            });
-        }
-        let noncontrolling = !self.kind.controlling_value();
-        let pins: Vec<PinState> = (0..self.n)
-            .map(|i| {
-                if i == pin {
-                    PinState::Switch(Transition::new(in_edge, Time::from_ns(1.0), ttime))
-                } else {
-                    PinState::Steady(noncontrolling)
-                }
-            })
-            .collect();
-        self.measure(&pins, load)
+        let tr = Transition::new(in_edge, Time::from_ns(1.0), ttime);
+        self.measure_switching(&[(pin, tr)], load)
     }
 }
 
@@ -761,6 +775,22 @@ mod tests {
         let sim = GateSim::nand(2);
         let r = sim.pin_to_pin(5, Edge::Fall, Time::from_ns(0.5), sim.inverter_load());
         assert!(matches!(r, Err(SpiceError::BadStimulus { .. })));
+    }
+
+    #[test]
+    fn measure_switching_holds_the_other_pins_non_controlling() {
+        let sim = GateSim::nor(3);
+        let load = sim.inverter_load();
+        let rise = |a: f64| Transition::new(Edge::Rise, Time::from_ns(a), Time::from_ns(0.4));
+        let m = sim.measure_switching(&[(2, rise(1.0)), (0, rise(1.2))], load);
+        let [a, b] = [rise(1.2), rise(1.0)].map(PinState::Switch);
+        let want = fresh(&sim).measure(&[a, PinState::Steady(false), b], load);
+        assert_eq!(
+            m.unwrap().arrival.as_ns().to_bits(),
+            want.unwrap().arrival.as_ns().to_bits()
+        );
+        let twice = sim.measure_switching(&[(1, rise(1.0)), (1, rise(1.5))], load);
+        assert!(matches!(twice, Err(SpiceError::BadStimulus { .. })));
     }
 
     #[test]

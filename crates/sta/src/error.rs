@@ -18,6 +18,13 @@ pub enum StaError {
         /// Reason.
         reason: String,
     },
+    /// The Miller model ([`crate::ModelKind::ProposedMiller`]) reads
+    /// to-non-controlling pair records that the library's cell lacks, as in
+    /// a library characterized without `nonctrl_pairs`.
+    NoMillerPairs {
+        /// Cell name.
+        cell: String,
+    },
     /// An output edge had no possible triggering input — only possible
     /// under refined (ITR) participation states.
     NoTrigger {
@@ -32,6 +39,12 @@ impl fmt::Display for StaError {
             StaError::Cell(e) => write!(f, "cell lookup failed: {e}"),
             StaError::Unmappable { gate, reason } => {
                 write!(f, "cannot map gate {gate:?} onto library cells: {reason}")
+            }
+            StaError::NoMillerPairs { cell } => {
+                write!(
+                    f,
+                    "cell {cell:?} lacks the pair records of the Miller model"
+                )
             }
             StaError::NoTrigger { gate } => {
                 write!(f, "no input can trigger the requested edge at {gate:?}")
@@ -71,5 +84,9 @@ mod tests {
         });
         assert!(e.to_string().contains("NAND9"));
         assert!(Error::source(&e).is_some());
+        let e = StaError::NoMillerPairs {
+            cell: "NAND3".into(),
+        };
+        assert!(e.to_string().contains("NAND3"));
     }
 }

@@ -68,7 +68,9 @@ impl<'a> GateTable<'a> {
     /// # Errors
     ///
     /// Fails when a gate cannot be mapped onto library cells, including a
-    /// cell wider than the kernel's four-pin capacity.
+    /// cell wider than the kernel's four-pin capacity, and, under
+    /// [`ModelKind::ProposedMiller`], with [`StaError::NoMillerPairs`] when
+    /// a mapped cell lacks one of its to-non-controlling pair records.
     pub fn new(
         circuit: &'a Circuit,
         library: &'a CellLibrary,
@@ -88,7 +90,7 @@ impl<'a> GateTable<'a> {
             let stage = match resolved.iter().find(|(k, _)| *k == key) {
                 Some(&(_, stage)) => stage,
                 None => {
-                    let stage = resolve(library, key.0, key.1, &gate.name)?;
+                    let stage = resolve(library, key.0, key.1, &gate.name, config.model)?;
                     resolved.push((key, stage));
                     stage
                 }
@@ -273,6 +275,7 @@ fn resolve<'a>(
     gtype: GateType,
     fanin: usize,
     gate: &str,
+    model: ModelKind,
 ) -> Result<StageCells<'a>, StaError> {
     let plan = stage_plan(gtype, fanin, gate)?;
     let first = library.require(&plan.first)?;
@@ -282,6 +285,12 @@ fn resolve<'a>(
     };
     for cell in std::iter::once(first).chain(second) {
         check_width(cell, gate)?;
+        let n = cell.n_inputs();
+        if model.miller() && (1..n).any(|j| (0..j).any(|i| cell.npair(i, j).is_none())) {
+            return Err(StaError::NoMillerPairs {
+                cell: cell.name().to_owned(),
+            });
+        }
     }
     Ok(StageCells { first, second })
 }
@@ -338,8 +347,8 @@ pub(crate) fn run_levels<S: Sync, T: Send>(
 mod tests {
     use super::*;
     use ssdm_cells::{PinTiming, Poly1};
-    use ssdm_core::Time;
-    use ssdm_netlist::CircuitBuilder;
+    use ssdm_core::{Bound, Time};
+    use ssdm_netlist::{suite, CircuitBuilder};
     use ssdm_spice::GateKind;
 
     /// A hand-built NAND cell with `n` inputs under `name`.
@@ -395,5 +404,45 @@ mod tests {
                 if gate == "g" && reason.contains("at most 4")),
             "{err:?}"
         );
+    }
+
+    /// A Miller analysis on a library without `npair` records fails when
+    /// the table is built, naming the cell, instead of printing base-model
+    /// numbers; the base model reads no such record and is unaffected.
+    #[test]
+    fn miller_analysis_needs_every_npair_record() {
+        let pinned = include_str!("../../../perfbench/data/library-fast.txt");
+        let text: String = pinned
+            .lines()
+            .filter(|l| !l.starts_with("npair "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let bare = CellLibrary::from_text(&text).unwrap();
+        let whole = crate::testlib::library();
+        let miller = StaConfig::default().with_model(ModelKind::ProposedMiller);
+        let base = StaConfig::default().with_model(ModelKind::Proposed);
+        fn run(lib: &CellLibrary, cfg: &StaConfig, c: &Circuit) -> Result<StaResult, StaError> {
+            crate::Sta::new(c, lib, cfg.clone()).run()
+        }
+        for c in [suite::c17(), suite::synthetic("c880s").unwrap()] {
+            let err = run(&bare, &miller, &c);
+            assert!(
+                matches!(&err, Err(StaError::NoMillerPairs { cell })
+                    if bare.get(cell).is_some_and(|g| g.n_inputs() >= 2)),
+                "{err:?}"
+            );
+            assert!(run(whole, &miller, &c).is_ok());
+            assert_eq!(run(&bare, &base, &c), run(whole, &base, &c));
+        }
+        // The stage kernel's own query fails too, rather than falling back.
+        let cell = bare.get("NAND2").unwrap();
+        let rise = LineTiming::symmetric(Bound::point(Time::ZERO), Bound::point(Time::ZERO));
+        let err = crate::stage_windows(
+            cell,
+            ModelKind::ProposedMiller,
+            &[PinWindow::sta(rise); 2],
+            cell.ref_load(),
+        );
+        assert!(matches!(err, Err(StaError::Cell(_))), "{err:?}");
     }
 }

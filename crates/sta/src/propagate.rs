@@ -443,15 +443,13 @@ fn edge_windows(
                     if other.pin == trig.pin {
                         continue;
                     }
-                    let Ok(v) = cell.vshape_nonctrl_delay(
+                    let v = cell.vshape_nonctrl_delay(
                         trig.pin,
                         other.pin,
                         cell.clamp_t(trig.ttime.l()),
                         cell.clamp_t(other.ttime.l()),
                         load,
-                    ) else {
-                        continue;
-                    };
+                    )?;
                     let skews = other.arrival.sub(trig.arrival);
                     let bump = (v.max_over(skews) - v.left_knee().1).max(Time::ZERO);
                     if bump > Time::ZERO {
@@ -517,14 +515,9 @@ fn edge_windows(
         for (ii, i) in active.iter().enumerate() {
             for j in active.iter().skip(ii + 1) {
                 let (ti, tj) = (cell.clamp_t(i.ttime.l()), cell.clamp_t(j.ttime.l()));
-                let (Ok(v), Ok(tpk)) = (
-                    cell.vshape_nonctrl_delay(i.pin, j.pin, ti, tj, load),
-                    cell.nonctrl_ttime_peak(i.pin, j.pin, ti, tj),
-                ) else {
-                    continue;
-                };
+                let v = cell.vshape_nonctrl_delay(i.pin, j.pin, ti, tj, load)?;
                 if j.arrival.sub(i.arrival).overlaps(v.simultaneous_window()) {
-                    tt_l = tt_l.max(tpk);
+                    tt_l = tt_l.max(cell.nonctrl_ttime_peak(i.pin, j.pin, ti, tj)?);
                 }
             }
         }
@@ -749,18 +742,11 @@ fn clamp_range(cell: &CharacterizedGate, t: Bound) -> (Time, Time) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_cells::{CharConfig, Characterizer};
-    use ssdm_spice::GateKind;
-    use std::sync::OnceLock;
 
     fn nand2() -> &'static CharacterizedGate {
-        static CELL: OnceLock<CharacterizedGate> = OnceLock::new();
-        CELL.get_or_init(|| {
-            Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast())
-                .unwrap()
-                .characterize()
-                .unwrap()
-        })
+        crate::testlib::library()
+            .get("NAND2")
+            .expect("standard cell")
     }
 
     fn ns(x: f64) -> Time {
