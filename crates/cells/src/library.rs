@@ -13,7 +13,7 @@ use ssdm_spice::GateKind;
 use crate::cell::{CharacterizedGate, PairTiming, PinTiming};
 use crate::error::CellError;
 use crate::fit::{D0Surface, Poly1, Quad2};
-use crate::sweep::{CharConfig, CharUnit, Characterizer, UnitResult};
+use crate::sweep::{all_cores, characterize_cells, CharConfig, Characterizer};
 
 const MAGIC: &str = "ssdm-cell-library v2";
 
@@ -96,13 +96,13 @@ impl CellLibrary {
     ///
     /// Propagates characterization failures.
     pub fn characterize_standard(config: &CharConfig) -> Result<CellLibrary, CellError> {
-        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-        CellLibrary::characterize_standard_with_jobs(config, jobs)
+        CellLibrary::characterize_standard_with_jobs(config, all_cores())
     }
 
     /// [`CellLibrary::characterize_standard`] with an explicit worker
     /// count. All cells' characterization units go into one global queue,
-    /// so the workers stay busy even when cells are wildly uneven (a
+    /// on the pool that [`Characterizer::characterize`] runs a single cell
+    /// on, so the workers stay busy even when cells are wildly uneven (a
     /// NAND4's pair sweeps dwarf an inverter) — per-cell threads would
     /// idle six workers while the seventh finishes. The assembled library
     /// is bit-identical for every worker count.
@@ -127,48 +127,10 @@ impl CellLibrary {
             .iter()
             .map(|&(name, kind, n)| Characterizer::min_size(name, kind, n, config.clone()))
             .collect::<Result<Vec<_>, CellError>>()?;
-        let queue: Vec<(usize, CharUnit)> = chars
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, ch)| ch.units().into_iter().map(move |u| (ci, u)))
-            .collect();
         let _span = ssdm_obs::span("cells.library");
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let worker = |w: usize| -> Result<Vec<(usize, UnitResult)>, CellError> {
-            if ssdm_obs::enabled() {
-                ssdm_obs::set_thread_label(format!("cells.worker.{w}"));
-            }
-            let _span = ssdm_obs::span("cells.worker");
-            let units_done = ssdm_obs::counter("cells.sweep.units");
-            let mut local = Vec::new();
-            loop {
-                let idx = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(ci, unit)) = queue.get(idx) else {
-                    break;
-                };
-                local.push((ci, chars[ci].run_unit(unit)?));
-                units_done.incr();
-            }
-            Ok(local)
-        };
-        let per_worker: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs.clamp(1, queue.len().max(1)))
-                .map(|w| scope.spawn(move || worker(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("characterizer thread panicked"))
-                .collect()
-        });
-        let mut per_cell: Vec<Vec<UnitResult>> = vec![Vec::new(); chars.len()];
-        for r in per_worker {
-            for (ci, result) in r? {
-                per_cell[ci].push(result);
-            }
-        }
         let mut lib = CellLibrary::new();
-        for (ch, results) in chars.iter().zip(per_cell) {
-            lib.insert(ch.assemble(results));
+        for gate in characterize_cells(&chars, jobs)? {
+            lib.insert(gate);
         }
         Ok(lib)
     }
@@ -574,11 +536,18 @@ impl<'a> Parser<'a> {
                 });
             }
         }
+        // Every floor the sweep characterizes must be there: the window
+        // kernel and the proposed model read the k-way floor of any k ≥ 3
+        // switches, and a missing one would be an error in the middle of
+        // an analysis.
         kway.sort_by_key(|&(k, _)| k);
-        if kway.iter().enumerate().any(|(idx, &(k, _))| k != idx + 3) {
+        if !kway.iter().map(|&(k, _)| k).eq(3..=h.n) {
             return Err(CellError::Parse {
                 line: 0,
-                reason: format!("cell {}: k-way floors must be contiguous from 3", h.name),
+                reason: format!(
+                    "cell {}: k-way floors must be exactly k = 3..={}",
+                    h.name, h.n
+                ),
             });
         }
         Ok(CharacterizedGate::new(
@@ -814,6 +783,43 @@ mod tests {
             CellLibrary::from_text(&inf),
             Err(CellError::Parse { .. })
         ));
+    }
+
+    /// A library that lacks a k-way floor of a cell with three or more
+    /// inputs is rejected, naming the cell, instead of silently dropping
+    /// the floor from every analysis that reads it.
+    #[test]
+    fn parse_needs_every_kway_floor() {
+        let pinned = include_str!("../../../perfbench/data/library-fast.txt");
+        let without = |drop: &dyn Fn(usize, &str) -> bool| -> String {
+            pinned
+                .lines()
+                .enumerate()
+                .filter(|&(ln, l)| !drop(ln, l))
+                .map(|(_, l)| format!("{l}\n"))
+                .collect()
+        };
+        let reason_of = |text: &str| match CellLibrary::from_text(text) {
+            Err(CellError::Parse { reason, .. }) => reason,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let reason = reason_of(&without(&|_, l| l.starts_with("kway ")));
+        assert!(reason.contains("cell NAND3"), "{reason}");
+        // Each floor on its own: dropping it names the cell it belongs to.
+        let mut cell = "";
+        let mut dropped = 0;
+        for (ln, line) in pinned.lines().enumerate() {
+            if let Some(header) = line.strip_prefix("cell ") {
+                cell = header.split_whitespace().next().unwrap();
+            }
+            if line.starts_with("kway ") {
+                let reason = reason_of(&without(&|l, _| l == ln));
+                assert!(reason.contains(&format!("cell {cell}:")), "{reason}");
+                dropped += 1;
+            }
+        }
+        // NAND3 and NOR3 have one floor, NAND4 and NOR4 two.
+        assert_eq!(dropped, 6);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! A characterization decomposes into independent **units** — one per
 //! (output edge, pin), per simultaneous pair, per Miller pair, and per
 //! k-way floor. Units are pure functions of the simulator and the grid,
-//! and they carry their own identity, so a worker pool can run them in
-//! any order and the assembled [`CharacterizedGate`] is still
-//! bit-identical to the serial sweep.
+//! and they carry their own identity, so one worker pool
+//! (`characterize_cells`) runs them in any order for a single cell and
+//! for a whole library alike, and the assembled [`CharacterizedGate`] is
+//! bit-identical for every worker count.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ssdm_core::{math, Capacitance, Edge, Time, Transition};
 use ssdm_spice::{GateKind, GateSim, Measured, Process};
@@ -18,7 +21,7 @@ use crate::fit::{D0Surface, Poly1, Quad2};
 /// One independent characterization work unit (the scheduling granularity
 /// for parallel sweeps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CharUnit {
+enum CharUnit {
     /// Pin-to-pin fit for one (output edge, input position).
     Pin {
         /// Output edge being fitted.
@@ -50,7 +53,7 @@ pub(crate) enum CharUnit {
 /// The measurement a unit produced, tagged with its identity so assembly
 /// can place it canonically regardless of completion order.
 #[derive(Debug, Clone)]
-pub(crate) enum UnitResult {
+enum UnitResult {
     /// Result of [`CharUnit::Pin`].
     Pin {
         /// Output edge fitted.
@@ -210,26 +213,21 @@ impl Characterizer {
     /// edges and every position, pairwise simultaneous-switching fits for
     /// the to-controlling response, and k-way zero-skew floors.
     ///
+    /// The sweep units run on every available core, on the same pool that
+    /// [`CellLibrary::characterize_standard`](crate::CellLibrary::characterize_standard)
+    /// uses, and the result does not depend on the worker count.
+    ///
     /// # Errors
     ///
     /// Propagates simulation and fitting failures.
     pub fn characterize(&self) -> Result<CharacterizedGate, CellError> {
         let _span = ssdm_obs::span("cells.sweep");
-        let units_done = ssdm_obs::counter("cells.sweep.units");
-        let results = self
-            .units()
-            .into_iter()
-            .map(|u| {
-                let r = self.run_unit(u);
-                units_done.incr();
-                r
-            })
-            .collect::<Result<Vec<_>, CellError>>()?;
-        Ok(self.assemble(results))
+        let mut gates = characterize_cells(std::slice::from_ref(self), all_cores())?;
+        Ok(gates.pop().expect("one gate per characterizer"))
     }
 
-    /// The unit decomposition, in the canonical (serial) sweep order.
-    pub(crate) fn units(&self) -> Vec<CharUnit> {
+    /// The unit decomposition, in the canonical sweep order.
+    fn units(&self) -> Vec<CharUnit> {
         let n = self.sim.n_inputs();
         let mut units = Vec::new();
         for out_edge in Edge::BOTH {
@@ -257,7 +255,7 @@ impl Characterizer {
     /// trajectory prefixes with each other, hardly ever with other units,
     /// so the simulator's memos are freed with the unit and memory stays
     /// bounded by the units in flight (DESIGN.md §10).
-    pub(crate) fn run_unit(&self, unit: CharUnit) -> Result<UnitResult, CellError> {
+    fn run_unit(&self, unit: CharUnit) -> Result<UnitResult, CellError> {
         let unit_char = Characterizer {
             sim: self.sim.clone(),
             name: self.name.clone(),
@@ -303,8 +301,8 @@ impl Characterizer {
     ///
     /// Panics if `results` is not exactly the set produced by running
     /// every unit from [`Characterizer::units`] — an internal invariant
-    /// of the callers.
-    pub(crate) fn assemble(&self, results: Vec<UnitResult>) -> CharacterizedGate {
+    /// of [`characterize_cells`].
+    fn assemble(&self, results: Vec<UnitResult>) -> CharacterizedGate {
         let n = self.sim.n_inputs();
         let mut pins: [Vec<Option<PinTiming>>; 2] = [vec![None; n], vec![None; n]];
         let mut pairs = Vec::new();
@@ -557,6 +555,73 @@ impl Characterizer {
     }
 }
 
+/// The worker count that uses every available core.
+pub(crate) fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Characterizes every cell of `chars` on `jobs` scoped workers and
+/// returns one gate per characterizer, in the same order.
+///
+/// All the cells' units go into one queue that the workers drain through
+/// an atomic cursor, so they stay busy even when cells are wildly uneven
+/// (a NAND4's pair sweeps dwarf an inverter, and a NAND2's controlling
+/// pair dwarfs its pin units). Every unit measures on a harness of its
+/// own and [`Characterizer::assemble`] places results by their identity,
+/// so the gates are bit-identical for every worker count.
+///
+/// # Errors
+///
+/// Returns the error of a failed unit.
+pub(crate) fn characterize_cells(
+    chars: &[Characterizer],
+    jobs: usize,
+) -> Result<Vec<CharacterizedGate>, CellError> {
+    let queue: Vec<(usize, CharUnit)> = chars
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, ch)| ch.units().into_iter().map(move |u| (ci, u)))
+        .collect();
+    let cursor = AtomicUsize::new(0);
+    let worker = |w: usize| -> Result<Vec<(usize, UnitResult)>, CellError> {
+        if ssdm_obs::enabled() {
+            ssdm_obs::set_thread_label(format!("cells.worker.{w}"));
+        }
+        let _span = ssdm_obs::span("cells.worker");
+        let units_done = ssdm_obs::counter("cells.sweep.units");
+        let mut local = Vec::new();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(ci, unit)) = queue.get(idx) else {
+                break;
+            };
+            local.push((ci, chars[ci].run_unit(unit)?));
+            units_done.incr();
+        }
+        Ok(local)
+    };
+    let per_worker: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs.clamp(1, queue.len().max(1)))
+            .map(|w| scope.spawn(move || worker(w)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("characterizer thread panicked"))
+            .collect()
+    });
+    let mut per_cell: Vec<Vec<UnitResult>> = vec![Vec::new(); chars.len()];
+    for r in per_worker {
+        for (ci, result) in r? {
+            per_cell[ci].push(result);
+        }
+    }
+    Ok(chars
+        .iter()
+        .zip(per_cell)
+        .map(|(ch, results)| ch.assemble(results))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,19 +710,35 @@ mod tests {
         assert!(worst < ns(0.035), "worst V-shape error {worst}");
     }
 
-    #[test]
-    /// The one serial `Characterizer::characterize` in the unit tests: a
-    /// cold INV prints byte for byte as the pinned copy's INV block.
-    fn inverter_has_no_pairs() {
-        let ch = Characterizer::min_size("INV", GateKind::Inv, 1, CharConfig::fast()).unwrap();
-        let cell = ch.characterize().unwrap();
+    /// `name`'s block of the pinned fast library, from its `cell` line to
+    /// its `end` line.
+    fn pinned_block(name: &str) -> &'static str {
+        let text = include_str!("../../../perfbench/data/library-fast.txt");
+        let start = text.find(&format!("\ncell {name} ")).expect("pinned cell") + 1;
+        let len = text[start..].find("\nend\n").expect("terminated cell") + "\nend\n".len();
+        &text[start..start + len]
+    }
+
+    /// `cell` printed as a library block, without the library's header
+    /// line.
+    fn block_of(cell: &CharacterizedGate) -> String {
         let mut lib = crate::CellLibrary::new();
         lib.insert(cell.clone());
         let text = lib.to_text();
-        let pinned_text = include_str!("../../../perfbench/data/library-fast.txt");
-        assert!(
-            pinned_text.starts_with(&text),
-            "serial INV differs from the pinned copy:\n{text}"
+        text.split_once('\n').expect("header line").1.to_string()
+    }
+
+    #[test]
+    /// The one `Characterizer::characterize` in the unit tests (its units
+    /// run on every core): a cold INV prints byte for byte as the pinned
+    /// copy's INV block.
+    fn inverter_has_no_pairs() {
+        let ch = Characterizer::min_size("INV", GateKind::Inv, 1, CharConfig::fast()).unwrap();
+        let cell = ch.characterize().unwrap();
+        assert_eq!(
+            block_of(&cell),
+            pinned_block("INV"),
+            "cold INV differs from the pinned copy"
         );
         assert!(cell.pairs().is_empty());
         assert!(cell.kway_fits().is_empty());
@@ -665,6 +746,22 @@ mod tests {
             .pin_delay(Edge::Fall, 0, ns(0.5), cell.ref_load())
             .unwrap();
         assert!(d > Time::ZERO);
+    }
+
+    #[test]
+    /// A NAND2 (pin, pair and Miller units) characterized on one worker and
+    /// on three prints the same bytes, equal to its pinned block.
+    fn nand2_is_identical_at_any_worker_count() {
+        let ch = [Characterizer::min_size("NAND2", GateKind::Nand, 2, CharConfig::fast()).unwrap()];
+        for jobs in [1, 3] {
+            let cells = characterize_cells(&ch, jobs).unwrap();
+            assert_eq!(cells.len(), 1);
+            assert_eq!(
+                block_of(&cells[0]),
+                pinned_block("NAND2"),
+                "NAND2 on {jobs} worker(s) differs from the pinned copy"
+            );
+        }
     }
 
     #[test]

@@ -163,9 +163,7 @@ impl ProposedModel {
         // simultaneous switches reproduce their calibration measurement.
         if n_simultaneous >= 2 {
             let t_mean = t_sum / n_simultaneous as f64;
-            if let Ok(floor) = cell.kway_floor(n_simultaneous, t_mean) {
-                delay = delay.max(floor);
-            }
+            delay = delay.max(cell.kway_floor(n_simultaneous, t_mean)?);
         }
         Ok(GateResponse {
             out_edge: stim.out_edge,
@@ -300,6 +298,29 @@ mod tests {
             )
             .unwrap();
         assert!(r.arrival < two.arrival);
+        // Without its 3-way floor the three-switch response fails instead
+        // of dropping the floor.
+        let pins = Edge::BOTH.map(|e| (0..3).map(|p| *cell.pin(e, p).unwrap()).collect());
+        let floorless = CharacterizedGate::new(
+            cell.name().into(),
+            cell.kind(),
+            3,
+            cell.wn_um(),
+            cell.wp_um(),
+            cell.ref_load().as_ff(),
+            cell.input_cap().as_ff(),
+            cell.t_range(),
+            pins,
+            cell.pairs().to_vec(),
+            cell.npairs().to_vec(),
+            vec![],
+        );
+        let three = [
+            (0, fall(1.0, 0.7)),
+            (1, fall(1.0, 0.7)),
+            (2, fall(1.0, 0.7)),
+        ];
+        assert!(m.response(&floorless, &three, cell.ref_load()).is_err());
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! [`DiffOptions::default_rel`], the noisier wall-clock span times to
 //! [`DiffOptions::span_rel`]). Values below a noise floor on both sides
 //! are skipped, so a counter going 2 → 6 does not page anyone.
+//!
+//! [`best_of`] folds several reports of the same run into the best
+//! reading per metric, so one preempted span or one histogram bucket
+//! boundary in a single run does not read as a regression.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -313,6 +317,35 @@ impl DiffReport {
     }
 }
 
+/// Folds several reports of one run into the best reading per metric:
+/// the minimum where lower is better, the maximum where higher is better
+/// ([`DiffOptions::higher_better`]). A metric missing from some reports
+/// takes the best of the others. Schema and metadata come from the first
+/// report.
+///
+/// A deterministic metric, such as a work counter, reads the same in
+/// every run, so its best reading is that value and a change to it still
+/// shows. Wall-clock spans and latency histograms vary between runs, and
+/// their best reading drops a one-off preemption.
+///
+/// # Panics
+///
+/// Panics if `reports` is empty.
+pub fn best_of(reports: &[ParsedReport], opts: &DiffOptions) -> ParsedReport {
+    let (first, rest) = reports.split_first().expect("at least one report");
+    let mut best = first.clone();
+    for report in rest {
+        for (key, &value) in &report.metrics {
+            let higher = opts.is_higher_better(key);
+            best.metrics
+                .entry(key.clone())
+                .and_modify(|b| *b = if higher { b.max(value) } else { b.min(value) })
+                .or_insert(value);
+        }
+    }
+    best
+}
+
 /// Compares `current` against `base` metric-by-metric.
 pub fn diff_reports(base: &ParsedReport, current: &ParsedReport, opts: &DiffOptions) -> DiffReport {
     let keys: BTreeSet<&String> = base.metrics.keys().chain(current.metrics.keys()).collect();
@@ -535,6 +568,41 @@ mod tests {
             ..DiffOptions::default()
         };
         assert_eq!(diff_reports(&base, &cur, &opts).regressions(), 1);
+    }
+
+    #[test]
+    fn best_of_takes_the_best_reading_per_metric() {
+        let opts = DiffOptions {
+            higher_better: ["hits".to_string()].into(),
+            ..DiffOptions::default()
+        };
+        let runs = [
+            report(&[("span:a.self_us", 4000.0), ("counter:hits", 90.0)]),
+            report(&[("span:a.self_us", 60.0), ("counter:hits", 80.0)]),
+            report(&[("span:a.self_us", 70.0), ("hist:b.p90", 1535.0)]),
+        ];
+        let best = best_of(&runs, &opts);
+        assert_eq!(best.metrics["span:a.self_us"], 60.0);
+        assert_eq!(best.metrics["counter:hits"], 90.0);
+        assert_eq!(best.metrics["hist:b.p90"], 1535.0);
+        assert_eq!(best_of(&runs[..1], &opts), runs[0]);
+        // One preempted run against a quiet baseline passes on the best
+        // reading, not on the single run.
+        let base = report(&[("span:a.self_us", 50.0)]);
+        assert_eq!(diff_reports(&base, &runs[0], &opts).regressions(), 1);
+        assert!(diff_reports(&base, &best, &opts).is_clean());
+    }
+
+    #[test]
+    fn best_of_still_fails_a_doubled_counter() {
+        let base = report(&[("counter:atpg.podem.backtracks", 100.0)]);
+        let doubled = report(&[("counter:atpg.podem.backtracks", 200.0)]);
+        let best = best_of(
+            &[doubled.clone(), doubled.clone(), doubled],
+            &DiffOptions::default(),
+        );
+        let d = diff_reports(&base, &best, &DiffOptions::default());
+        assert_eq!(d.regressions(), 1);
     }
 
     #[test]

@@ -24,9 +24,12 @@
 //!     (DR / D0R / SR / MILLER) and the delay it contributed. The staged
 //!     delays are checked to sum to the reported worst arrival.
 //!
-//! ssdm-cli obs-diff <baseline.json> <current.json> [options]
-//!     Compare two ssdm-obs JSON run reports and exit non-zero when any
-//!     metric regressed beyond its relative threshold. Options:
+//! ssdm-cli obs-diff <baseline.json> <current.json>... [options]
+//!     Compare ssdm-obs JSON run reports with a baseline and exit non-zero
+//!     when any metric regressed beyond its relative threshold. Given
+//!     several current reports of the same run, compare each metric's
+//!     best reading (the minimum, or the maximum where higher is better).
+//!     Options:
 //!         --default-threshold R   counters/histograms (default 0.5)
 //!         --span-threshold R      span self-times (default 2.0)
 //!         --threshold NAME=R      per-metric override (repeatable)
@@ -490,11 +493,16 @@ fn edge_str(e: ssdm::timing::Edge) -> &'static str {
 }
 
 fn cmd_obs_diff(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use ssdm::obs::diff::{diff_reports, parse_report, DiffOptions, ParsedReport};
+    use ssdm::obs::diff::{best_of, diff_reports, parse_report, DiffOptions, ParsedReport};
 
-    const USAGE: &str = "usage: ssdm-cli obs-diff <baseline.json> <current.json> [options]";
-    let base_path = args.first().filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
-    let cur_path = args.get(1).filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
+    const USAGE: &str = "usage: ssdm-cli obs-diff <baseline.json> <current.json>... [options]";
+    let paths: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
+    let [base_path, cur_paths @ ..] = paths.as_slice() else {
+        return Err(USAGE.into());
+    };
+    if cur_paths.is_empty() {
+        return Err(USAGE.into());
+    }
     let mut opts = DiffOptions::default();
     if let Some(v) = parse_f64_opt(args, "--default-threshold")? {
         opts.default_rel = v;
@@ -522,7 +530,10 @@ fn cmd_obs_diff(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         parse_report(&text).map_err(|e| format!("{path}: {e}").into())
     };
     let base = load(base_path)?;
-    let current = load(cur_path)?;
+    let currents = cur_paths
+        .iter()
+        .map(|path| load(path))
+        .collect::<Result<Vec<_>, _>>()?;
     let describe = |r: &ParsedReport| {
         let tags: Vec<String> = r.meta.iter().map(|(k, v)| format!("{k}={v}")).collect();
         if tags.is_empty() {
@@ -532,8 +543,16 @@ fn cmd_obs_diff(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     println!("baseline: {base_path} ({})", describe(&base));
-    println!("current:  {cur_path} ({})", describe(&current));
-    let diff = diff_reports(&base, &current, &opts);
+    for (path, report) in cur_paths.iter().zip(&currents) {
+        println!("current:  {path} ({})", describe(report));
+    }
+    if currents.len() > 1 {
+        println!(
+            "comparing the best reading of {} current reports",
+            currents.len()
+        );
+    }
+    let diff = diff_reports(&base, &best_of(&currents, &opts), &opts);
     print!("{}", diff.to_text());
     if !diff.is_clean() {
         return Err(format!(

@@ -445,4 +445,32 @@ mod tests {
         );
         assert!(matches!(err, Err(StaError::Cell(_))), "{err:?}");
     }
+
+    /// Three simultaneous to-controlling inputs read the 3-way floor; on a
+    /// NAND3 without it the stage fails instead of skipping the floor.
+    #[test]
+    fn kernel_propagates_a_missing_kway_floor() {
+        let g = crate::testlib::library().get("NAND3").unwrap();
+        let pins = Edge::BOTH.map(|e| (0..3).map(|p| *g.pin(e, p).unwrap()).collect());
+        let floorless = CharacterizedGate::new(
+            g.name().into(),
+            g.kind(),
+            3,
+            g.wn_um(),
+            g.wp_um(),
+            g.ref_load().as_ff(),
+            g.input_cap().as_ff(),
+            g.t_range(),
+            pins,
+            g.pairs().to_vec(),
+            g.npairs().to_vec(),
+            vec![],
+        );
+        let fall =
+            LineTiming::symmetric(Bound::point(Time::ZERO), Bound::point(Time::from_ns(0.7)));
+        let pw = [PinWindow::sta(fall); 3];
+        assert!(crate::stage_windows(g, ModelKind::Proposed, &pw, g.ref_load()).is_ok());
+        let err = crate::stage_windows(&floorless, ModelKind::Proposed, &pw, g.ref_load());
+        assert!(matches!(err, Err(StaError::Cell(_))), "{err:?}");
+    }
 }

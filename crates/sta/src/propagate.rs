@@ -379,7 +379,7 @@ fn edge_windows(
             let mut best = Time::INFINITY;
             for (t, trig) in active.iter().enumerate().filter(|(_, a)| a.must) {
                 let (d, term) = if let Some(shapes) = &shapes {
-                    composed_max(cell, shapes, t, active)
+                    composed_max(cell, shapes, t, active)?
                 } else {
                     (trig.dmax, DelayTerm::Dr)
                 };
@@ -413,7 +413,7 @@ fn edge_windows(
         let mut a_s = Time::INFINITY;
         for (idx, trig) in active.iter().enumerate() {
             let (d, term) = if let Some(shapes) = &shapes {
-                composed_min(cell, shapes, idx, active)
+                composed_min(cell, shapes, idx, active)?
             } else {
                 (trig.dmin, DelayTerm::Dr)
             };
@@ -630,7 +630,7 @@ fn composed_min(
     shapes: &PairShapes,
     t: usize,
     active: &[Active],
-) -> (Time, DelayTerm) {
+) -> Result<(Time, DelayTerm), StaError> {
     let trig = &active[t];
     let mut d = trig.dmin;
     let mut scaled = false;
@@ -665,14 +665,13 @@ fn composed_min(
     }
     let mut term = if scaled { DelayTerm::Sr } else { DelayTerm::Dr };
     if k_sim >= 2 {
-        if let Ok(floor) = cell.kway_floor(k_sim, t_small_sum / k_sim as f64) {
-            if floor > d {
-                d = floor;
-                term = DelayTerm::D0r;
-            }
+        let floor = cell.kway_floor(k_sim, t_small_sum / k_sim as f64)?;
+        if floor > d {
+            d = floor;
+            term = DelayTerm::D0r;
         }
     }
-    (d, term)
+    Ok((d, term))
 }
 
 /// The largest delay achievable when active input `t` (a `Must` input)
@@ -685,7 +684,7 @@ fn composed_max(
     shapes: &PairShapes,
     t: usize,
     active: &[Active],
-) -> (Time, DelayTerm) {
+) -> Result<(Time, DelayTerm), StaError> {
     let trig = &active[t];
     let mut d = trig.dmax;
     let mut scaled = false;
@@ -723,14 +722,13 @@ fn composed_max(
     // The composed upper bound must never dip below the characterized
     // zero-skew floor (a lower bound on any simultaneous delay).
     if k_sim >= 2 {
-        if let Ok(floor) = cell.kway_floor(k_sim, t_large_sum / k_sim as f64) {
-            if floor > d {
-                d = floor;
-                term = DelayTerm::D0r;
-            }
+        let floor = cell.kway_floor(k_sim, t_large_sum / k_sim as f64)?;
+        if floor > d {
+            d = floor;
+            term = DelayTerm::D0r;
         }
     }
-    (d, term)
+    Ok((d, term))
 }
 
 fn clamp_range(cell: &CharacterizedGate, t: Bound) -> (Time, Time) {

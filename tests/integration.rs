@@ -412,6 +412,17 @@ mod cli {
         assert!(text.contains("REGRESSED"), "{text}");
         assert!(text.contains("atpg.podem.backtracks"), "{text}");
 
+        // Several current reports compare their best reading: one clean
+        // run passes, a counter doubled in every run still fails.
+        let out = cli(&["obs-diff", base, cur, base, cur]);
+        assert!(
+            out.status.success(),
+            "best of three regressed: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let out = cli(&["obs-diff", base, cur, cur, cur]);
+        assert_eq!(out.status.code(), Some(1));
+
         // The same change passes once the threshold is raised above 2x.
         let out = cli(&["obs-diff", base, cur, "--default-threshold", "1.5"]);
         assert!(
